@@ -1,0 +1,337 @@
+"""Dataset plumbing: 16-bit PGM images, manifests, folds, normalization.
+
+Images travel as 16-bit grayscale PGM (P5, maxval 65535, big-endian rows).
+A manifest is a tab-separated text file, one `relative/path.pgm<TAB>class`
+line per sample, resolved against the manifest's own directory.
+
+Cross-validation uses a stratified, order-preserving k-fold: within each
+class the samples stay in dataset order and are cut into k contiguous
+segments, so repeated runs over the same manifest always see identical
+folds.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+from pathlib import Path
+
+import numpy as np
+
+CLASS_NAMES = ("healthy", "misalignment", "broken_rotor")
+
+_WHITESPACE = frozenset(b" \t\r\n\f\v")
+
+
+class PgmError(ValueError):
+    """Malformed PGM data; messages carry the offending byte offset."""
+
+
+class ManifestError(ValueError):
+    """Malformed manifest line or unknown class name."""
+
+
+@dataclass(frozen=True)
+class ThermalImage:
+    """A single-channel 16-bit image, rows by columns."""
+
+    pixels: np.ndarray
+
+    def __post_init__(self):
+        if self.pixels.ndim != 2 or self.pixels.dtype != np.uint16:
+            raise ValueError(
+                f"pixels must be a 2-D uint16 array, got shape "
+                f"{tuple(self.pixels.shape)} dtype {self.pixels.dtype}")
+
+    @property
+    def height(self) -> int:
+        return self.pixels.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.pixels.shape[1]
+
+
+def _next_token(data: bytes, pos: int) -> tuple[bytes, int, int]:
+    """Skip whitespace and # comments, return (token, start, end)."""
+    n = len(data)
+    while pos < n:
+        b = data[pos]
+        if b in _WHITESPACE:
+            pos += 1
+        elif b == 0x23:  # '#' starts a comment running to end of line
+            while pos < n and data[pos] not in (0x0A, 0x0D):
+                pos += 1
+        else:
+            break
+    if pos >= n:
+        raise PgmError(f"header ends prematurely at byte {pos}")
+    start = pos
+    while pos < n and data[pos] not in _WHITESPACE:
+        pos += 1
+    return data[start:pos], start, pos
+
+
+def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
+    token, start, end = _next_token(data, pos)
+    if not token.isdigit():
+        raise PgmError(f"{what} at byte {start} is not a number: {token!r}")
+    return int(token), end
+
+
+def parse_pgm16(data: bytes) -> ThermalImage:
+    """Decode one 16-bit P5 image from raw bytes."""
+    token, start, pos = _next_token(data, 0)
+    if token != b"P5":
+        raise PgmError(f"expected P5 magic at byte {start}, found {token!r}")
+    width, pos = _header_int(data, pos, "width")
+    height, pos = _header_int(data, pos, "height")
+    if width < 1 or height < 1:
+        raise PgmError(f"image dimensions {width}x{height} are not positive")
+    maxval, pos = _header_int(data, pos, "maxval")
+    if maxval != 65535:
+        raise PgmError(
+            f"only 16-bit images are supported, maxval {maxval} ends at byte {pos}")
+    if pos >= len(data) or data[pos] not in _WHITESPACE:
+        raise PgmError(f"expected single whitespace after maxval at byte {pos}")
+    payload = pos + 1
+    need = width * height * 2
+    have = len(data) - payload
+    if have < need:
+        raise PgmError(
+            f"pixel payload truncated at byte {payload}: need {need} bytes, have {have}")
+    if have > need:
+        raise PgmError(
+            f"{have - need} trailing bytes after pixel payload ending at byte "
+            f"{payload + need}")
+    pixels = np.frombuffer(data, dtype=">u2", count=width * height,
+                           offset=payload).reshape(height, width)
+    return ThermalImage(pixels.astype(np.uint16))
+
+
+def pgm16_bytes(image: ThermalImage) -> bytes:
+    """Canonical serialization; parse(pgm16_bytes(i)) round-trips byte-exact."""
+    header = f"P5\n{image.width} {image.height}\n65535\n".encode("ascii")
+    return header + image.pixels.astype(">u2").tobytes()
+
+
+def load_pgm16(path) -> ThermalImage:
+    return parse_pgm16(Path(path).read_bytes())
+
+
+def write_pgm16(image: ThermalImage, path) -> None:
+    Path(path).write_bytes(pgm16_bytes(image))
+
+
+def resize_half(image: ThermalImage) -> ThermalImage:
+    """Halve both dimensions by 2x2 block averaging, rounding halves up."""
+    h, w = image.pixels.shape
+    if h % 2 or w % 2:
+        raise ValueError(f"cannot halve odd dimensions {h}x{w}")
+    blocks = image.pixels.astype(np.uint32).reshape(h // 2, 2, w // 2, 2)
+    sums = blocks.sum(axis=(1, 3))
+    return ThermalImage(((sums + 2) // 4).astype(np.uint16))
+
+
+def normalize_minmax(image: ThermalImage, epsilon: float = 1e-8,
+                     bounds: tuple[float, float] | None = None) -> np.ndarray:
+    """Map pixels to [0, 1) via (p - lo) / (hi - lo + epsilon).
+
+    With no bounds, lo and hi are this image's own extremes, so a constant
+    image maps to all zeros. Passing shared (lo, hi) bounds puts every
+    image of a corpus on one common scale instead.
+    """
+    p = image.pixels.astype(np.float64)
+    if bounds is None:
+        lo, hi = float(p.min()), float(p.max())
+    else:
+        lo, hi = float(bounds[0]), float(bounds[1])
+        if hi < lo:
+            raise ValueError(f"bounds ({lo}, {hi}) are reversed")
+    return (p - lo) / (hi - lo + epsilon)
+
+
+@dataclass(frozen=True)
+class SampleRecord:
+    path: str         # relative, forward slashes
+    class_name: str
+
+    @property
+    def label(self) -> int:
+        return CLASS_NAMES.index(self.class_name)
+
+
+def read_manifest(path) -> list[SampleRecord]:
+    """Parse `relative/path<TAB>class` lines; blank lines are skipped."""
+    records = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ManifestError(
+                f"line {lineno}: expected 'path<TAB>class', got {line!r}")
+        rel, cls = parts
+        if not rel or not cls:
+            raise ManifestError(f"line {lineno}: empty path or class in {line!r}")
+        if cls not in CLASS_NAMES:
+            raise ManifestError(
+                f"line {lineno}: unknown class {cls!r}, expected one of "
+                f"{', '.join(CLASS_NAMES)}")
+        records.append(SampleRecord(rel, cls))
+    if not records:
+        raise ManifestError(f"manifest {path} contains no samples")
+    return records
+
+
+def write_manifest(records: list[SampleRecord], path) -> None:
+    lines = [f"{r.path}\t{r.class_name}" for r in records]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+@dataclass(frozen=True)
+class FoldPlan:
+    """k disjoint index groups covering 0..n-1, in dataset order per class."""
+
+    folds: tuple[tuple[int, ...], ...]
+
+    @property
+    def k(self) -> int:
+        return len(self.folds)
+
+    @property
+    def n_samples(self) -> int:
+        return sum(len(f) for f in self.folds)
+
+
+def stratified_ordered_kfold(labels, k: int,
+                             extras_offsets: dict[int, int] | None = None) -> FoldPlan:
+    """Split by class into k contiguous, order-preserving segments.
+
+    Each class contributes floor(n/k) samples to every fold; the n mod k
+    leftover samples go to folds offset, offset+1, ... (mod k). By default
+    the offset for a class is the total size of all earlier classes mod k,
+    which staggers the enlarged folds across classes instead of always
+    favoring fold 0. `extras_offsets` overrides the offset per class id.
+    """
+    labels = np.asarray(labels)
+    if k < 2:
+        raise ValueError(f"need at least 2 folds, got {k}")
+    if labels.ndim != 1 or len(labels) < k:
+        raise ValueError(f"need at least {k} samples, got {len(labels)}")
+    folds: list[list[int]] = [[] for _ in range(k)]
+    seen_before = 0
+    for cls in np.unique(labels):
+        idx = np.flatnonzero(labels == cls)
+        n = len(idx)
+        base, extra = divmod(n, k)
+        offset = seen_before % k
+        if extras_offsets is not None and int(cls) in extras_offsets:
+            offset = extras_offsets[int(cls)] % k
+        sizes = [base + (1 if (f - offset) % k < extra else 0) for f in range(k)]
+        cursor = 0
+        for f in range(k):
+            folds[f].extend(int(i) for i in idx[cursor:cursor + sizes[f]])
+            cursor += sizes[f]
+        seen_before += n
+    if any(not f for f in folds):
+        raise ValueError(f"{k} folds over {len(labels)} samples left a fold empty")
+    return FoldPlan(tuple(tuple(f) for f in folds))
+
+
+@dataclass(frozen=True)
+class CvSplit:
+    """One cross-validation round: held-out test fold plus rotating val fold."""
+
+    test_fold: int
+    val_fold: int
+    train_indices: tuple[int, ...]
+    val_indices: tuple[int, ...]
+    test_indices: tuple[int, ...]
+
+
+def make_cv_splits(plan: FoldPlan) -> list[CvSplit]:
+    """Round i tests on fold i, validates on fold (i+1) mod k, trains on the rest."""
+    splits = []
+    for i in range(plan.k):
+        val = (i + 1) % plan.k
+        train: list[int] = []
+        for f in range(plan.k):
+            if f not in (i, val):
+                train.extend(plan.folds[f])
+        splits.append(CvSplit(i, val, tuple(train), plan.folds[val], plan.folds[i]))
+    return splits
+
+
+def write_fold_plan(plan: FoldPlan, path) -> None:
+    doc = {"k": plan.k, "folds": [list(f) for f in plan.folds]}
+    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
+
+
+def read_fold_plan(path) -> FoldPlan:
+    doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict) or "folds" not in doc:
+        raise ValueError(f"{path} is not a fold-plan file")
+    folds = tuple(tuple(int(i) for i in f) for f in doc["folds"])
+    if doc.get("k") != len(folds):
+        raise ValueError(f"{path}: declared k={doc.get('k')} but holds {len(folds)} folds")
+    return FoldPlan(folds)
+
+
+@dataclass
+class Dataset:
+    """Normalized model inputs plus integer labels, in manifest order."""
+
+    images: list[np.ndarray]        # each (1, H, W) float64
+    labels: np.ndarray              # int64
+    records: list[SampleRecord]
+    normalization_bounds: tuple[float, float] | None  # None = per image
+
+    def __len__(self) -> int:
+        return len(self.images)
+
+    def subset(self, indices) -> tuple[list[np.ndarray], np.ndarray]:
+        idx = list(indices)
+        return [self.images[i] for i in idx], self.labels[idx]
+
+
+def dataset_pixel_bounds(images: list[ThermalImage]) -> tuple[int, int]:
+    """Raw pixel extremes across a whole corpus."""
+    if not images:
+        raise ValueError("no images given")
+    lo = min(int(im.pixels.min()) for im in images)
+    hi = max(int(im.pixels.max()) for im in images)
+    return lo, hi
+
+
+def load_dataset(manifest_path, half_resolution: bool = False,
+                 shared_bounds: bool = False, epsilon: float = 1e-8) -> Dataset:
+    """Load every manifest entry, optionally downscale, then normalize.
+
+    All images must share one shape after the optional halving. With
+    `shared_bounds` the min/max are taken over the whole corpus (after
+    resizing) so pixel values stay comparable across images.
+    """
+    manifest_path = Path(manifest_path)
+    records = read_manifest(manifest_path)
+    root = manifest_path.parent
+    raw: list[ThermalImage] = []
+    for rec in records:
+        try:
+            img = load_pgm16(root / rec.path)
+        except (OSError, PgmError) as exc:
+            raise ManifestError(f"cannot load {rec.path}: {exc}") from exc
+        if half_resolution:
+            img = resize_half(img)
+        if raw and img.pixels.shape != raw[0].pixels.shape:
+            raise ManifestError(
+                f"{rec.path} has shape {img.pixels.shape}, expected "
+                f"{raw[0].pixels.shape} like the rest of the corpus")
+        raw.append(img)
+    bounds = None
+    if shared_bounds:
+        lo, hi = dataset_pixel_bounds(raw)
+        bounds = (float(lo), float(hi))
+    images = [normalize_minmax(im, epsilon, bounds)[None, :, :] for im in raw]
+    labels = np.array([r.label for r in records], dtype=np.int64)
+    return Dataset(images, labels, records, bounds)

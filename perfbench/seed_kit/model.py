@@ -1,0 +1,442 @@
+"""Generative-neuron layers and the three-block thermal classifier.
+
+A generative layer carries Q kernel banks and per-order biases; its output
+is ``sum_q conv2d_valid(input**q, kernels[q], biases[q])``, so order Q=1
+collapses to a plain convolution bit-for-bit. The classifier is a fixed
+stack of such blocks (each followed by tanh and 2x2 max pooling), a hidden
+dense layer with tanh, and a linear output layer.
+
+All parameters live in one flat float64 buffer; the per-layer arrays are
+reshaped views into it, which keeps optimizer updates, snapshots and the
+weight-file format trivially consistent.
+"""
+
+from __future__ import annotations
+
+import struct
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from . import ops
+from .ops import ConsistencyError, DimensionError, Tensor
+
+
+class ConfigError(ValueError):
+    """Model configuration cannot produce a valid layer chain."""
+
+
+class WeightFileError(ValueError):
+    """Base class for weight-file load failures."""
+
+
+class WeightHeaderError(WeightFileError):
+    """Bad magic, unsupported version, or malformed header."""
+
+
+class WeightTruncatedError(WeightFileError):
+    """File ends before the declared payload."""
+
+
+class WeightConfigMismatch(WeightFileError):
+    """Stored configuration differs from the expected one."""
+
+
+@dataclass(frozen=True)
+class ModelConfig:
+    """Architecture knobs. The defaults are the full-scale 256x320 network."""
+
+    q_order: int = 1
+    input_shape: tuple[int, int, int] = (1, 256, 320)   # channels, height, width
+    block_filters: tuple[int, ...] = (8, 8, 8)
+    kernel_sizes: tuple[int, ...] = (5, 3, 2)
+    dense_units: int = 32
+    classes: int = 3
+
+    def __post_init__(self):
+        if self.q_order < 1:
+            raise ConfigError(f"q_order must be >= 1, got {self.q_order}")
+        if len(self.input_shape) != 3 or min(self.input_shape) < 1:
+            raise ConfigError(f"bad input shape {self.input_shape}")
+        if len(self.block_filters) != len(self.kernel_sizes):
+            raise ConfigError("block_filters and kernel_sizes must align")
+        if not self.block_filters:
+            raise ConfigError("need at least one block")
+        if min(self.block_filters) < 1 or min(self.kernel_sizes) < 1:
+            raise ConfigError("filter counts and kernel sizes must be >= 1")
+        if self.dense_units < 1 or self.classes < 2:
+            raise ConfigError("need dense_units >= 1 and classes >= 2")
+        feature_map_chain(self)  # fail fast if the spatial chain dies
+
+
+def feature_map_chain(config: ModelConfig) -> list[tuple[int, int, int]]:
+    """[C,H,W] after each conv+pool block, ending at the flatten input."""
+    c, h, w = config.input_shape
+    chain = []
+    for filters, k in zip(config.block_filters, config.kernel_sizes):
+        if h < k or w < k:
+            raise ConfigError(f"{h}x{w} map too small for a {k}x{k} kernel")
+        h, w = h - k + 1, w - k + 1
+        if h < 2 or w < 2:
+            raise ConfigError(f"{h}x{w} map too small to 2x2-pool")
+        h, w = h // 2, w // 2
+        c = filters
+        chain.append((c, h, w))
+    return chain
+
+
+def param_count(config: ModelConfig) -> int:
+    """Closed-form trainable-parameter count (kernels + per-q biases + head)."""
+    chain = feature_map_chain(config)
+    q = config.q_order
+    cin = config.input_shape[0]
+    total = 0
+    for filters, k in zip(config.block_filters, config.kernel_sizes):
+        total += q * filters * cin * k * k + q * filters
+        cin = filters
+    c, h, w = chain[-1]
+    flat = c * h * w
+    total += flat * config.dense_units + config.dense_units
+    total += config.dense_units * config.classes + config.classes
+    return total
+
+
+@dataclass
+class SelfOnnLayerParams:
+    """One generative layer: kernels[q,o,c,r,t] and per-order biases[q,o]."""
+
+    kernels: Tensor  # (Q, Cout, Cin, Kh, Kw)
+    biases: Tensor   # (Q, Cout)
+
+    def __post_init__(self):
+        if self.kernels.ndim != 5 or self.biases.ndim != 2:
+            raise DimensionError(
+                f"kernels must be 5-D and biases 2-D, got "
+                f"{tuple(self.kernels.shape)} and {tuple(self.biases.shape)}")
+        if self.kernels.shape[0] != self.biases.shape[0] \
+                or self.kernels.shape[1] != self.biases.shape[1]:
+            raise DimensionError(
+                f"kernels {tuple(self.kernels.shape)} and biases "
+                f"{tuple(self.biases.shape)} disagree on Q or Cout")
+
+    @property
+    def q_order(self) -> int:
+        return self.kernels.shape[0]
+
+    @property
+    def param_count(self) -> int:
+        return self.kernels.size + self.biases.size
+
+
+@dataclass
+class DenseParams:
+    weights: Tensor  # (U, D)
+    bias: Tensor     # (U,)
+
+    def __post_init__(self):
+        if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[0],):
+            raise DimensionError(
+                f"dense weights {tuple(self.weights.shape)} and bias "
+                f"{tuple(self.bias.shape)} do not fit")
+
+
+@dataclass
+class Model:
+    """Layer stack plus the flat parameter buffer the layer arrays view into."""
+
+    config: ModelConfig
+    flat: Tensor
+    blocks: list[SelfOnnLayerParams]
+    hidden: DenseParams
+    output: DenseParams
+    offsets: tuple[tuple[str, int, int], ...] = field(repr=False)
+
+    @classmethod
+    def from_flat(cls, config: ModelConfig, flat: Tensor) -> "Model":
+        """Wrap a flat vector; layer params become views into it."""
+        expected = param_count(config)
+        if flat.shape != (expected,):
+            raise DimensionError(
+                f"flat vector has shape {tuple(flat.shape)}, config needs ({expected},)")
+        offsets: list[tuple[str, int, int]] = []
+        pos = 0
+
+        def take(name, shape):
+            nonlocal pos
+            size = int(np.prod(shape))
+            view = flat[pos:pos + size].reshape(shape)
+            offsets.append((name, pos, pos + size))
+            pos += size
+            return view
+
+        q = config.q_order
+        cin = config.input_shape[0]
+        blocks = []
+        for i, (filters, k) in enumerate(zip(config.block_filters, config.kernel_sizes)):
+            kernels = take(f"block{i}.kernels", (q, filters, cin, k, k))
+            biases = take(f"block{i}.biases", (q, filters))
+            blocks.append(SelfOnnLayerParams(kernels, biases))
+            cin = filters
+        c, h, w = feature_map_chain(config)[-1]
+        hidden = DenseParams(take("hidden.weights", (config.dense_units, c * h * w)),
+                             take("hidden.bias", (config.dense_units,)))
+        output = DenseParams(take("output.weights", (config.classes, config.dense_units)),
+                             take("output.bias", (config.classes,)))
+        assert pos == expected
+        return cls(config, flat, blocks, hidden, output, tuple(offsets))
+
+    def flatten(self) -> Tensor:
+        """Copy of the flat parameter vector."""
+        return self.flat.copy()
+
+    def load_flat(self, vec: Tensor) -> None:
+        """Copy a flat vector into the buffer; all layer views update."""
+        if vec.shape != self.flat.shape:
+            raise DimensionError(
+                f"flat vector shape {tuple(vec.shape)} vs model {tuple(self.flat.shape)}")
+        np.copyto(self.flat, vec)
+
+    @property
+    def n_params(self) -> int:
+        return self.flat.size
+
+
+def build_model(config: ModelConfig, rng_seed: int) -> Model:
+    """Deterministically initialized model.
+
+    Kernel banks get Glorot-uniform draws with fan_in = Cin*Kh*Kw*Q (the
+    effective fan-in once all Q power terms contribute) and
+    fan_out = Cout*Kh*Kw; all biases start at zero. Same seed, same bits.
+    """
+    flat = np.zeros(param_count(config))
+    model = Model.from_flat(config, flat)
+    rng = np.random.default_rng(rng_seed)
+    for layer in model.blocks:
+        q, cout, cin, kh, kw = layer.kernels.shape
+        limit = np.sqrt(6.0 / (cin * kh * kw * q + cout * kh * kw))
+        layer.kernels[...] = rng.uniform(-limit, limit, size=layer.kernels.shape)
+    for dense in (model.hidden, model.output):
+        u, d = dense.weights.shape
+        limit = np.sqrt(6.0 / (u + d))
+        dense.weights[...] = rng.uniform(-limit, limit, size=(u, d))
+    return model
+
+
+def power_stack(x: Tensor, q_order: int) -> Tensor:
+    """Channel-stacked powers [x, x**2, ..., x**Q] of shape (Q*Cin, H, W).
+
+    Built by repeated multiplication and computed once per forward pass, so
+    forward and backward see numerically identical power maps. Channel
+    block q (zero-based) holds x**(q+1).
+    """
+    cin = x.shape[0]
+    stack = np.empty((q_order * cin, x.shape[1], x.shape[2]))
+    stack[:cin] = x
+    for q in range(1, q_order):
+        np.multiply(stack[(q - 1) * cin:q * cin], x, out=stack[q * cin:(q + 1) * cin])
+    return stack
+
+
+def _merged_kernels(layer: SelfOnnLayerParams) -> Tensor:
+    """(Cout, Q*Cin, Kh, Kw) view of the bank matching power_stack channels."""
+    q, cout, cin, kh, kw = layer.kernels.shape
+    return layer.kernels.transpose(1, 0, 2, 3, 4).reshape(cout, q * cin, kh, kw)
+
+
+def selfonn_forward(layer: SelfOnnLayerParams, x: Tensor,
+                    stack: Tensor | None = None) -> Tensor:
+    """Generative-layer forward: sum over q of conv(x**q, kernels[q]) + biases.
+
+    All Q terms run as one convolution over the channel-stacked powers; at
+    Q=1 this is exactly conv2d_valid(x, kernels[0], biases[0]), bit for bit.
+    """
+    if stack is None:
+        stack = power_stack(x, layer.q_order)
+    return ops.conv2d_valid(stack, _merged_kernels(layer),
+                            layer.biases.sum(axis=0))
+
+
+def selfonn_backward(layer: SelfOnnLayerParams, stack: Tensor,
+                     grad_out: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+    """Backward through a generative layer given its forward power stack.
+
+    Returns (grad_kernels, grad_biases, grad_input). Kernel gradients are
+    the convolution weight-adjoint per power map; every per-q bias sees the
+    same summed grad_out; the input gradient applies the power rule,
+    grad_input = sum_q q * x**(q-1) * conv_input_adjoint(kernels[q]), with
+    the q=1 term added directly since its factor is one.
+    """
+    q_order = layer.q_order
+    cin = layer.kernels.shape[2]
+    if stack.shape[0] != q_order * cin:
+        raise ConsistencyError(
+            f"power stack has {stack.shape[0]} channels, layer needs "
+            f"{q_order} x {cin}")
+    cout, kh, kw = layer.kernels.shape[1], layer.kernels.shape[3], layer.kernels.shape[4]
+    gw = ops.conv2d_backward_weights(stack, grad_out)
+    grad_kernels = gw.reshape(cout, q_order, cin, kh, kw).transpose(1, 0, 2, 3, 4).copy()
+    grad_biases = np.broadcast_to(grad_out.sum(axis=(1, 2)),
+                                  (q_order, cout)).copy()
+    gin_all = ops.conv2d_backward_input(_merged_kernels(layer), grad_out)
+    grad_input = gin_all[:cin]
+    for q in range(1, q_order):
+        grad_input = grad_input + (q + 1) * stack[(q - 1) * cin:q * cin] \
+            * gin_all[q * cin:(q + 1) * cin]
+    return grad_kernels, grad_biases, grad_input
+
+
+@dataclass
+class BlockCache:
+    stack: Tensor             # channel-stacked input powers fed to the layer
+    activated: Tensor         # tanh output, pre-pool
+    pool_indices: np.ndarray
+
+
+@dataclass
+class ForwardCache:
+    blocks: list[BlockCache]
+    flat_input: Tensor        # flattened final pooled map
+    hidden_activated: Tensor
+
+
+def model_forward(model: Model, x: Tensor,
+                  train_mode: bool = False) -> tuple[Tensor, ForwardCache | None]:
+    """Full forward pass to raw logits; caches intermediates when training."""
+    cfg = model.config
+    if tuple(x.shape) != cfg.input_shape:
+        raise DimensionError(
+            f"input shape {tuple(x.shape)} vs configured {cfg.input_shape}")
+    block_caches = []
+    cur = x
+    for layer in model.blocks:
+        stack = power_stack(cur, layer.q_order)
+        act = ops.tanh_forward(selfonn_forward(layer, cur, stack))
+        cur, idx = ops.maxpool2x2(act)
+        if train_mode:
+            block_caches.append(BlockCache(stack, act, idx))
+    flat_in = cur.reshape(-1)
+    hidden_act = ops.tanh_forward(
+        ops.dense_forward(flat_in, model.hidden.weights, model.hidden.bias))
+    logits = ops.dense_forward(hidden_act, model.output.weights, model.output.bias)
+    cache = ForwardCache(block_caches, flat_in, hidden_act) if train_mode else None
+    return logits, cache
+
+
+def model_backward(model: Model, cache: ForwardCache,
+                   grad_logits: Tensor) -> tuple[Tensor, Tensor]:
+    """Backward pass from dL/dlogits.
+
+    Returns (flat_grads, grad_input): the parameter gradient aligned with
+    the model's flat view, plus the gradient w.r.t. the network input.
+    """
+    if cache is None or len(cache.blocks) != len(model.blocks):
+        raise ConsistencyError("forward cache does not match this model")
+    grads = np.zeros_like(model.flat)
+    gview = Model.from_flat(model.config, grads)  # same offsets, zero-filled
+
+    g_hidden_act, gw, gb = ops.dense_backward(
+        cache.hidden_activated, model.output.weights, grad_logits)
+    gview.output.weights[...] = gw
+    gview.output.bias[...] = gb
+
+    g_hidden_pre = ops.tanh_backward(cache.hidden_activated, g_hidden_act)
+    g_flat, gw, gb = ops.dense_backward(
+        cache.flat_input, model.hidden.weights, g_hidden_pre)
+    gview.hidden.weights[...] = gw
+    gview.hidden.bias[...] = gb
+
+    g = g_flat.reshape(feature_map_chain(model.config)[-1])
+    for i in range(len(model.blocks) - 1, -1, -1):
+        bc = cache.blocks[i]
+        g_act = ops.maxpool2x2_backward(g, bc.pool_indices, bc.activated.shape)
+        g_pre = ops.tanh_backward(bc.activated, g_act)
+        gk, gb, g = selfonn_backward(model.blocks[i], bc.stack, g_pre)
+        gview.blocks[i].kernels[...] = gk
+        gview.blocks[i].biases[...] = gb
+    return grads, g
+
+
+# Weight-file format (all little-endian):
+#   offset 0   4 bytes  magic "SONN"
+#   offset 4   u16      format version (currently 1)
+#   offset 6   u16      q_order
+#   offset 8   u16 x 3  input channels, height, width
+#   offset 14  u16      number of blocks B
+#   then       u16 x B  block filter counts
+#   then       u16 x B  kernel sizes
+#   then       u16 x 2  dense units, classes
+#   then       u64      parameter count N
+#   then       f64 x N  parameters in flat-view order
+_MAGIC = b"SONN"
+_VERSION = 1
+
+
+def _pack_header(config: ModelConfig, n_params: int) -> bytes:
+    b = len(config.block_filters)
+    parts = [struct.pack("<4sHHHHH", _MAGIC, _VERSION, config.q_order,
+                         *config.input_shape)]
+    parts.append(struct.pack("<H", b))
+    parts.append(struct.pack(f"<{b}H", *config.block_filters))
+    parts.append(struct.pack(f"<{b}H", *config.kernel_sizes))
+    parts.append(struct.pack("<HHQ", config.dense_units, config.classes, n_params))
+    return b"".join(parts)
+
+
+def save_weights(model: Model, destination) -> None:
+    """Write the model to `destination` (path or binary file object)."""
+    payload = _pack_header(model.config, model.n_params) \
+        + model.flat.astype("<f8").tobytes()
+    if hasattr(destination, "write"):
+        destination.write(payload)
+    else:
+        with open(destination, "wb") as fh:
+            fh.write(payload)
+
+
+def _read_exact(fh, n: int, what: str) -> bytes:
+    data = fh.read(n)
+    if len(data) != n:
+        raise WeightTruncatedError(
+            f"file ends inside {what}: wanted {n} bytes, got {len(data)}")
+    return data
+
+
+def load_weights(source, config: ModelConfig | None = None) -> Model:
+    """Read a weight file; if `config` is given, the header must match it."""
+    if hasattr(source, "read"):
+        return _load_from(source, config)
+    with open(source, "rb") as fh:
+        return _load_from(fh, config)
+
+
+def _load_from(fh, config: ModelConfig | None) -> Model:
+    head = _read_exact(fh, 16, "fixed header")
+    magic, version, q_order, c, h, w, n_blocks = struct.unpack("<4sHHHHHH", head)
+    if magic != _MAGIC:
+        raise WeightHeaderError(f"bad magic {magic!r}, expected {_MAGIC!r}")
+    if version != _VERSION:
+        raise WeightHeaderError(f"unsupported format version {version}")
+    if n_blocks < 1:
+        raise WeightHeaderError("header declares zero blocks")
+    body = _read_exact(fh, 2 * n_blocks * 2 + 12, "config block")
+    filters = struct.unpack_from(f"<{n_blocks}H", body, 0)
+    kernels = struct.unpack_from(f"<{n_blocks}H", body, 2 * n_blocks)
+    dense_units, classes, n_params = struct.unpack_from("<HHQ", body, 4 * n_blocks)
+    try:
+        stored = ModelConfig(q_order=q_order, input_shape=(c, h, w),
+                             block_filters=filters, kernel_sizes=kernels,
+                             dense_units=dense_units, classes=classes)
+    except ConfigError as exc:
+        raise WeightHeaderError(f"stored configuration is invalid: {exc}") from exc
+    if n_params != param_count(stored):
+        raise WeightHeaderError(
+            f"header declares {n_params} parameters, configuration needs "
+            f"{param_count(stored)}")
+    if config is not None and stored != config:
+        raise WeightConfigMismatch(
+            f"stored configuration {stored} does not match expected {config}")
+    raw = _read_exact(fh, 8 * n_params, "parameter payload")
+    flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    if not np.all(np.isfinite(flat)):
+        raise WeightFileError("parameter payload contains non-finite values")
+    return Model.from_flat(stored, flat)

@@ -1,0 +1,251 @@
+"""Optimization loop: Adam, plateau LR decay, early stopping.
+
+The loop is single-threaded and fully deterministic for a given seed: the
+per-epoch shuffle comes from one seeded generator, batches accumulate
+gradients in sample order, and both callbacks see the validation loss in a
+fixed order (schedule first, then the stopper).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from . import ops
+from .model import Model, model_backward, model_forward
+from .ops import Tensor
+
+
+class DivergenceError(RuntimeError):
+    """Training produced a non-finite loss or gradient."""
+
+
+@dataclass
+class TrainConfig:
+    learning_rate: float = 1e-3
+    batch_size: int = 16
+    max_epochs: int = 300
+    seed: int = 0
+    shuffle: bool = True
+    # Plateau schedule: halve the LR when validation loss has not improved
+    # by min_delta for `plateau_patience` consecutive epochs, never below
+    # the floor. The stall counter resets after each reduction.
+    plateau_factor: float = 0.5
+    plateau_patience: int = 3
+    min_learning_rate: float = 5e-5
+    # Stop after `stop_patience` consecutive epochs without a new best
+    # validation loss, then restore the best-epoch weights.
+    stop_patience: int = 5
+    min_delta: float = 0.0
+
+    def __post_init__(self):
+        if self.learning_rate <= 0 or self.batch_size < 1 or self.max_epochs < 1:
+            raise ValueError("learning_rate, batch_size and max_epochs must be positive")
+        if not 0 < self.plateau_factor < 1:
+            raise ValueError(f"plateau_factor must lie in (0, 1), got {self.plateau_factor}")
+        if self.plateau_patience < 1 or self.stop_patience < 1:
+            raise ValueError("patience values must be >= 1")
+        if self.min_delta < 0:
+            raise ValueError("min_delta must be non-negative")
+
+
+@dataclass
+class AdamState:
+    """First/second moment buffers plus the shared step counter."""
+
+    m: Tensor
+    v: Tensor
+    t: int = 0
+    beta1: float = 0.9
+    beta2: float = 0.999
+    epsilon: float = 1e-8
+
+    @classmethod
+    def for_params(cls, n: int) -> "AdamState":
+        return cls(m=np.zeros(n), v=np.zeros(n))
+
+
+def adam_step(params: Tensor, grads: Tensor, state: AdamState,
+              learning_rate: float) -> None:
+    """One in-place Adam update with bias-corrected moments."""
+    if params.shape != grads.shape or params.shape != state.m.shape:
+        raise ops.DimensionError(
+            f"adam buffers disagree: params {tuple(params.shape)}, "
+            f"grads {tuple(grads.shape)}, moments {tuple(state.m.shape)}")
+    state.t += 1
+    state.m *= state.beta1
+    state.m += (1 - state.beta1) * grads
+    state.v *= state.beta2
+    state.v += (1 - state.beta2) * grads * grads
+    m_hat = state.m / (1 - state.beta1 ** state.t)
+    v_hat = state.v / (1 - state.beta2 ** state.t)
+    params -= learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+
+
+@dataclass
+class LrSchedule:
+    """Reduce-on-plateau state machine; feed it one validation loss per epoch."""
+
+    learning_rate: float
+    factor: float = 0.5
+    patience: int = 3
+    floor: float = 5e-5
+    min_delta: float = 0.0
+    best: float = np.inf
+    stalled: int = 0
+
+    def update(self, val_loss: float) -> bool:
+        """Record an epoch; returns True when the rate was just reduced."""
+        if val_loss < self.best - self.min_delta:
+            self.best = val_loss
+            self.stalled = 0
+            return False
+        self.stalled += 1
+        if self.stalled >= self.patience and self.learning_rate > self.floor:
+            self.learning_rate = max(self.learning_rate * self.factor, self.floor)
+            self.stalled = 0
+            return True
+        return False
+
+
+@dataclass
+class EarlyStopper:
+    """Tracks the best validation loss and the weights that produced it."""
+
+    patience: int = 5
+    min_delta: float = 0.0
+    best: float = np.inf
+    stalled: int = 0
+    best_weights: Tensor | None = None
+    best_epoch: int = -1
+
+    def update(self, val_loss: float, model: Model, epoch: int) -> bool:
+        """Record an epoch; returns True when training should stop."""
+        if val_loss < self.best - self.min_delta:
+            self.best = val_loss
+            self.stalled = 0
+            self.best_weights = model.flatten()
+            self.best_epoch = epoch
+            return False
+        self.stalled += 1
+        return self.stalled >= self.patience
+
+    def restore(self, model: Model) -> None:
+        if self.best_weights is not None:
+            model.load_flat(self.best_weights)
+
+
+@dataclass
+class EpochRecord:
+    epoch: int
+    train_loss: float
+    val_loss: float
+    val_accuracy: float
+    learning_rate: float
+    lr_reduced: bool
+
+
+@dataclass
+class FitResult:
+    history: list[EpochRecord]
+    best_epoch: int
+    best_val_loss: float
+    stopped_early: bool
+
+
+def evaluate(model: Model, images: list[Tensor] | np.ndarray,
+             labels: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """Mean loss, accuracy, and per-sample argmax predictions."""
+    if len(images) != len(labels):
+        raise ops.DimensionError(
+            f"{len(images)} images vs {len(labels)} labels")
+    if len(images) == 0:
+        raise ValueError("cannot evaluate on an empty set")
+    total = 0.0
+    preds = np.empty(len(labels), dtype=np.int64)
+    for i, (x, y) in enumerate(zip(images, labels)):
+        logits, _ = model_forward(model, x)
+        loss, _ = ops.cross_entropy_with_softmax(logits, int(y))
+        total += loss
+        preds[i] = int(np.argmax(logits))
+    accuracy = float(np.mean(preds == np.asarray(labels)))
+    return total / len(labels), accuracy, preds
+
+
+def _train_epoch(model: Model, images, labels, order: np.ndarray,
+                 config: TrainConfig, adam: AdamState, lr: float,
+                 epoch: int) -> float:
+    """One pass over the training set; returns the mean per-sample loss."""
+    total = 0.0
+    n_batches = (len(order) + config.batch_size - 1) // config.batch_size
+    for b in range(n_batches):
+        batch = order[b * config.batch_size:(b + 1) * config.batch_size]
+        grads = np.zeros_like(model.flat)
+        batch_loss = 0.0
+        for idx in batch:
+            logits, cache = model_forward(model, images[idx], train_mode=True)
+            loss, grad_logits = ops.cross_entropy_with_softmax(logits, int(labels[idx]))
+            g, _ = model_backward(model, cache, grad_logits)
+            grads += g
+            batch_loss += loss
+        grads /= len(batch)
+        if not np.isfinite(batch_loss) or not np.all(np.isfinite(grads)):
+            raise DivergenceError(
+                f"non-finite loss or gradient at epoch {epoch}, batch {b}")
+        adam_step(model.flat, grads, adam, lr)
+        total += batch_loss
+    return total / len(order)
+
+
+def fit(model: Model, train_images, train_labels, val_images, val_labels,
+        config: TrainConfig, on_epoch=None) -> FitResult:
+    """Train in place; returns the epoch history with best weights restored.
+
+    Each epoch: shuffle (seeded), accumulate mean gradients per batch, one
+    Adam step per batch, then a full validation pass. The plateau schedule
+    sees the validation loss first, the early stopper second, so an epoch
+    that triggers both still records its LR cut. `on_epoch`, if given, is
+    called with each EpochRecord as it is produced.
+    """
+    train_labels = np.asarray(train_labels)
+    val_labels = np.asarray(val_labels)
+    if len(train_images) != len(train_labels):
+        raise ops.DimensionError(
+            f"{len(train_images)} train images vs {len(train_labels)} labels")
+    if len(train_images) == 0:
+        raise ValueError("cannot fit on an empty training set")
+    rng = np.random.default_rng(config.seed)
+    adam = AdamState.for_params(model.n_params)
+    schedule = LrSchedule(learning_rate=config.learning_rate,
+                          factor=config.plateau_factor,
+                          patience=config.plateau_patience,
+                          floor=config.min_learning_rate,
+                          min_delta=config.min_delta)
+    stopper = EarlyStopper(patience=config.stop_patience, min_delta=config.min_delta)
+    history: list[EpochRecord] = []
+    stopped = False
+    for epoch in range(config.max_epochs):
+        if config.shuffle:
+            order = rng.permutation(len(train_images))
+        else:
+            order = np.arange(len(train_images))
+        train_loss = _train_epoch(model, train_images, train_labels, order,
+                                  config, adam, schedule.learning_rate, epoch)
+        val_loss, val_acc, _ = evaluate(model, val_images, val_labels)
+        if not np.isfinite(val_loss):
+            raise DivergenceError(f"non-finite validation loss at epoch {epoch}")
+        reduced = schedule.update(val_loss)
+        should_stop = stopper.update(val_loss, model, epoch)
+        record = EpochRecord(epoch, train_loss, val_loss, val_acc,
+                             schedule.learning_rate, reduced)
+        history.append(record)
+        if on_epoch is not None:
+            on_epoch(record)
+        if should_stop:
+            stopped = True
+            break
+    stopper.restore(model)
+    best_epoch = stopper.best_epoch if stopper.best_epoch >= 0 else len(history) - 1
+    best_val = stopper.best if np.isfinite(stopper.best) else history[-1].val_loss
+    return FitResult(history, best_epoch, float(best_val), stopped)
