@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -114,6 +115,16 @@ class RunConfig:
             raise UsageError(
                 f"{len(self.filters)} filter counts vs {len(self.kernels)} "
                 "kernel sizes")
+        for name, value, least in (("epochs", self.epochs, 1),
+                                   ("batch", self.batch, 1),
+                                   ("per-class", self.per_class, 1),
+                                   ("bench-images", self.bench_images, 1),
+                                   ("runs", self.bench_repeats, 1),
+                                   ("warmup", self.bench_warmup, 0)):
+            if value < least:
+                raise UsageError(f"--{name} must be >= {least}, got {value}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise UsageError(f"--lr must be a positive number, got {self.lr}")
 
 
 def _parse_int_tuple(text: str, what: str) -> tuple[int, ...]:

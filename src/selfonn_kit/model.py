@@ -288,8 +288,7 @@ def selfonn_backward(layer: SelfOnnLayerParams, stack: Tensor,
 @dataclass
 class BlockCache:
     stack: Tensor             # channel-stacked input powers fed to the layer
-    activated: Tensor         # tanh output, pre-pool
-    pool_indices: np.ndarray
+    activated: Tensor         # tanh output, pre-pool (the pool backward routes from it)
 
 
 @dataclass
@@ -311,9 +310,9 @@ def model_forward(model: Model, x: Tensor,
     for layer in model.blocks:
         stack = power_stack(cur, layer.q_order)
         act = ops.tanh_forward(selfonn_forward(layer, cur, stack))
-        cur, idx = ops.maxpool2x2(act)
+        cur = ops.maxpool2x2(act)
         if train_mode:
-            block_caches.append(BlockCache(stack, act, idx))
+            block_caches.append(BlockCache(stack, act))
     flat_in = cur.reshape(-1)
     hidden_act = ops.tanh_forward(
         ops.dense_forward(flat_in, model.hidden.weights, model.hidden.bias))
@@ -348,7 +347,7 @@ def model_backward(model: Model, cache: ForwardCache,
     g = g_flat.reshape(feature_map_chain(model.config)[-1])
     for i in range(len(model.blocks) - 1, -1, -1):
         bc = cache.blocks[i]
-        g_act = ops.maxpool2x2_backward(g, bc.pool_indices, bc.activated.shape)
+        g_act = ops.maxpool2x2_backward(g, bc.activated)
         g_pre = ops.tanh_backward(bc.activated, g_act)
         gk, gb, g = selfonn_backward(model.blocks[i], bc.stack, g_pre)
         gview.blocks[i].kernels[...] = gk

@@ -2,16 +2,20 @@
 
 Feature maps are float64 numpy arrays in channel-first ``[C, H, W]`` layout,
 kernel banks are ``[Cout, Cin, Kh, Kw]``. Convolution is the unpadded
-cross-correlation (no kernel flip); its two adjoints, 2x2 max pooling with
-argmax tracking, the dense affine map, tanh, softmax and cross-entropy are
-all pure functions with hand-derived backward passes. No autograd graph.
+cross-correlation (no kernel flip); its two adjoints, 2x2 max pooling (whose
+backward pass re-derives the max positions from the pre-pool map), the dense
+affine map, tanh, softmax and cross-entropy are all pure functions with
+hand-derived backward passes. No autograd graph.
 
-Both forward and backward convolutions run as one GEMM over an im2col
-patch matrix; the input adjoint scatters its column product back with a
-small col2im loop over kernel offsets.
+Both forward and backward convolutions run as GEMMs over im2col patch
+matrices; the forward pass builds its patch matrix one band of output rows
+at a time so it stays cache-sized, and the input adjoint scatters its
+column product back with a small col2im loop over kernel offsets.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -19,7 +23,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 # Aliases for readability; everything is plain numpy underneath.
 Tensor = np.ndarray
 Shape = tuple[int, ...]
-PoolIndices = np.ndarray  # int64 flat indices into the pooled input
+
+# Patch-matrix entries per forward-convolution band: 512 KiB of float64,
+# which stays in L2 cache between the im2col copy and the GEMM reading it.
+_BAND_ELEMENTS = 65536
+# Band widths are whole multiples of this many output columns, the widest
+# column unroll of the x86 OpenBLAS double GEMM kernels, so every column goes
+# through the same micro-kernel as in one whole-map GEMM and banding does
+# not change a bit of the result.
+_BAND_COLUMNS = 8
 
 
 class DimensionError(ValueError):
@@ -27,7 +39,7 @@ class DimensionError(ValueError):
 
 
 class ConsistencyError(RuntimeError):
-    """Internal state (caches, pool indices) does not match its producer."""
+    """Internal state (forward caches, power stacks) does not match its producer."""
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -57,12 +69,25 @@ def _im2col(x: Tensor, kh: int, kw: int) -> Tensor:
     return win.transpose(0, 3, 4, 1, 2).reshape(cin * kh * kw, hp * wp)
 
 
+def _band_rows(patch: int, wp: int) -> int:
+    """Output rows per forward band for a patch length and output width.
+
+    As many rows as keep the band's (patch, rows*wp) patch matrix within
+    _BAND_ELEMENTS, rounded down to whole _BAND_COLUMNS multiples of columns;
+    never fewer than one such multiple.
+    """
+    step = _BAND_COLUMNS // math.gcd(wp, _BAND_COLUMNS)
+    rows = _BAND_ELEMENTS // (patch * wp)
+    return max(step, rows - rows % step)
+
+
 def conv2d_valid(x: Tensor, kernels: Tensor, bias: Tensor | None = None) -> Tensor:
     """Valid cross-correlation of a [Cin,H,W] map with a [Cout,Cin,Kh,Kw] bank.
 
     out[o,m,n] = bias[o] + sum_{c,r,t} kernels[o,c,r,t] * x[c,m+r,n+t]
 
     No padding, no kernel flip; the output shrinks to [Cout, H-Kh+1, W-Kw+1].
+    Runs as one GEMM per band of output rows (see _band_rows).
     """
     _require(x.ndim == 3, f"input must be [Cin,H,W], got shape {tuple(x.shape)}")
     _require(kernels.ndim == 4,
@@ -74,8 +99,14 @@ def conv2d_valid(x: Tensor, kernels: Tensor, bias: Tensor | None = None) -> Tens
              f"kernel {tuple(kernels.shape)} does not fit input {tuple(x.shape)}")
     hp = x.shape[1] - kh + 1
     wp = x.shape[2] - kw + 1
-    cols = _im2col(x, kh, kw)
-    out = (kernels.reshape(cout, cin * kh * kw) @ cols).reshape(cout, hp, wp)
+    kmat = kernels.reshape(cout, cin * kh * kw)
+    rows = _band_rows(kmat.shape[1], wp)
+    out = np.empty((cout, hp * wp))
+    for r0 in range(0, hp, rows):
+        r1 = min(r0 + rows, hp)
+        np.matmul(kmat, _im2col(x[:, r0:r1 + kh - 1], kh, kw),
+                  out=out[:, r0 * wp:r1 * wp])
+    out = out.reshape(cout, hp, wp)
     if bias is not None:
         _require(bias.shape == (cout,),
                  f"bias shape {tuple(bias.shape)} vs Cout={cout}")
@@ -145,50 +176,51 @@ def tanh_backward(activated: Tensor, grad_out: Tensor) -> Tensor:
     return grad_out * (1.0 - activated * activated)
 
 
-def maxpool2x2(x: Tensor) -> tuple[Tensor, PoolIndices]:
-    """Disjoint 2x2 stride-2 max pool; returns (pooled, flat argmax indices).
+def _pool_cells(x: Tensor) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+    """The four cells of every 2x2 window as strided views, row-major order.
 
-    A trailing odd row/column is dropped (floor semantics). Ties resolve to
-    the smallest flat input index inside the window so the backward routing
-    is deterministic.
+    A trailing odd row/column is left out (floor semantics).
     """
+    h2, w2 = x.shape[1] // 2, x.shape[2] // 2
+    return tuple(x[:, a:2 * h2:2, b:2 * w2:2] for a in (0, 1) for b in (0, 1))
+
+
+def _pool_max(cells) -> Tensor:
+    # np.maximum returns its second argument on ties, so the earlier cell
+    # goes second: a tied window (+0.0 against -0.0) keeps its first cell's
+    # value, as the loop oracle does.
+    c0, c1, c2, c3 = cells
+    return np.maximum(np.maximum(c3, c2), np.maximum(c1, c0))
+
+
+def maxpool2x2(x: Tensor) -> Tensor:
+    """Disjoint 2x2 stride-2 max pool of a [C,H,W] map; odd edges are dropped."""
     _require(x.ndim == 3, f"input must be [C,H,W], got shape {tuple(x.shape)}")
-    c, h, w = x.shape
-    _require(h >= 2 and w >= 2, f"cannot 2x2-pool a {h}x{w} map")
-    h2, w2 = h // 2, w // 2
-    crop = x[:, :2 * h2, :2 * w2]
-    cells = (crop[:, 0::2, 0::2], crop[:, 0::2, 1::2],
-             crop[:, 1::2, 0::2], crop[:, 1::2, 1::2])
-    # Later cells win only on strict >, so ties go to the smallest flat
-    # input index within each window.
-    pooled = cells[0].copy()
-    local = np.zeros((c, h2, w2), dtype=np.int64)
-    for pos in (1, 2, 3):
-        better = cells[pos] > pooled
-        np.copyto(pooled, cells[pos], where=better)
-        local[better] = pos
-    ci = np.arange(c)[:, None, None]
-    rows = 2 * np.arange(h2)[None, :, None] + local // 2
-    cols = 2 * np.arange(w2)[None, None, :] + local % 2
-    indices = ci * (h * w) + rows * w + cols
-    return pooled, indices
+    _require(x.shape[1] >= 2 and x.shape[2] >= 2,
+             f"cannot 2x2-pool a {x.shape[1]}x{x.shape[2]} map")
+    return _pool_max(_pool_cells(x))
 
 
-def maxpool2x2_backward(grad_out: Tensor, indices: PoolIndices,
-                        input_shape: Shape) -> Tensor:
-    """Scatter the pooled gradient back to the recorded argmax positions."""
-    if grad_out.shape != indices.shape:
-        raise ConsistencyError(
-            f"pool gradient shape {tuple(grad_out.shape)} does not match "
-            f"indices {tuple(indices.shape)}")
-    n = int(np.prod(input_shape))
-    flat_idx = indices.ravel()
-    if flat_idx.size and (flat_idx.min() < 0 or flat_idx.max() >= n):
-        raise ConsistencyError(
-            f"pool indices fall outside an input of shape {tuple(input_shape)}")
-    flat = np.zeros(n)
-    flat[flat_idx] = grad_out.ravel()  # windows are disjoint, so indices are unique
-    return flat.reshape(input_shape)
+def maxpool2x2_backward(grad_out: Tensor, x: Tensor) -> Tensor:
+    """Route the pooled gradient back through maxpool2x2 of the map `x`.
+
+    Within each window the first cell in row-major order that equals the
+    window max receives the gradient, so ties route deterministically; every
+    other cell, and any dropped odd edge, gets +0.0.
+    """
+    cells = _pool_cells(x)
+    pooled = _pool_max(cells)
+    _require(grad_out.shape == pooled.shape,
+             f"pool gradient shape {tuple(grad_out.shape)} vs pooled map "
+             f"{tuple(pooled.shape)} of input {tuple(x.shape)}")
+    grad = np.zeros_like(x)
+    open_windows = np.ones(pooled.shape, dtype=bool)
+    for cell, grad_cell in zip(cells, _pool_cells(grad)):
+        hit = cell == pooled
+        hit &= open_windows
+        np.copyto(grad_cell, grad_out, where=hit)
+        open_windows &= ~hit
+    return grad
 
 
 def dense_forward(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:

@@ -114,8 +114,8 @@ def plain_cnn_forward(params: PlainCnnParams, x):
     for kern, cb in zip(params.kernels, params.conv_biases):
         pre = ops.conv2d_valid(cur, kern, cb)
         act = ops.tanh_forward(pre)
-        pooled, idx = ops.maxpool2x2(act)
-        block_caches.append((cur, act, idx, pooled.shape))
+        pooled = ops.maxpool2x2(act)
+        block_caches.append((cur, act, pooled.shape))
         cur = pooled
     flat = cur.reshape(-1)
     hidden_act = ops.tanh_forward(
@@ -132,12 +132,12 @@ def plain_cnn_backward(params: PlainCnnParams, cache, grad_logits):
     g_hidden_pre = ops.tanh_backward(hidden_act, g_hidden)
     g_flat, g_hidden_w, g_hidden_b = ops.dense_backward(
         flat, params.hidden_w, g_hidden_pre)
-    g = g_flat.reshape(block_caches[-1][3])
+    g = g_flat.reshape(block_caches[-1][2])
     g_kernels = [None] * len(params.kernels)
     g_conv_biases = [None] * len(params.kernels)
     for i in range(len(params.kernels) - 1, -1, -1):
-        block_in, act, idx, _ = block_caches[i]
-        g_act = ops.maxpool2x2_backward(g, idx, act.shape)
+        block_in, act, _ = block_caches[i]
+        g_act = ops.maxpool2x2_backward(g, act)
         g_pre = ops.tanh_backward(act, g_act)
         g_kernels[i] = ops.conv2d_backward_weights(block_in, g_pre)
         g_conv_biases[i] = g_pre.sum(axis=(1, 2))

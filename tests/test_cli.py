@@ -145,6 +145,20 @@ class TestExitCodes:
                     "--input-width", "16"]) == cli.EXIT_USAGE
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--batch", "0"], ["train", "--epochs", "0"],
+        ["train", "--lr", "-1"], ["train", "--lr", "nan"],
+        ["synth", "--per-class", "0"], ["bench", "--runs", "0"],
+        ["bench", "--bench-images", "0"], ["bench", "--warmup", "-1"]],
+        ids=lambda argv: f"{argv[0]}{argv[1]}={argv[2]}")
+    def test_bad_setting_rejected_before_data(self, argv, tmp_path, capsys):
+        # The manifest does not exist: reading it would exit with EXIT_IO.
+        out = tmp_path / "out"
+        assert run([*argv, "--manifest", tmp_path / "ghost.tsv",
+                    "--out", out]) == cli.EXIT_USAGE
+        assert f"{argv[1]} must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_eval_without_weights(self, corpus, capsys):
         assert run(["eval", "--manifest", corpus]) == cli.EXIT_USAGE
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from selfonn_kit import ops
+from selfonn_kit.model import power_stack
 from reference import (conv2d_valid_loops, conv2d_backward_input_loops,
                        conv2d_backward_weights_loops, maxpool2x2_loops,
                        central_difference, relative_error)
@@ -82,6 +83,27 @@ class TestConvForward:
     def test_kernel_too_large(self):
         with pytest.raises(ops.DimensionError):
             ops.conv2d_valid(np.zeros((1, 2, 2)), np.zeros((1, 1, 3, 3)))
+
+    # A Q=3 power-stack input whose output rows span several bands plus a
+    # remainder band, and one whose output fits in a single band.
+    @pytest.mark.parametrize("h,w,several_bands", [(21, 121, True),
+                                                   (9, 12, False)])
+    def test_bands_match_loop_oracle(self, h, w, several_bands):
+        r = rng(21)
+        x = power_stack(r.random((1, h, w)), 3)
+        k = r.standard_normal((2, 3, 5, 5))
+        b = r.standard_normal(2)
+        rows = ops._band_rows(3 * 5 * 5, w - 4)
+        if several_bands:
+            assert rows < h - 4 and (h - 4) % rows
+        else:
+            assert rows >= h - 4
+        got = ops.conv2d_valid(x, k, b)
+        assert np.allclose(got, conv2d_valid_loops(x, k, b),
+                           rtol=1e-12, atol=1e-12)
+        # Band widths keep whole GEMM column blocks, so banding moves no bit.
+        whole = (k.reshape(2, -1) @ ops._im2col(x, 5, 5)).reshape(got.shape)
+        assert np.array_equal(got, whole + b[:, None, None])
 
 
 class TestConvBackward:
@@ -167,50 +189,69 @@ class TestTanh:
             assert relative_error(got[i], num) < 1e-7
 
 
+def scatter_through_oracle(grad_out, x):
+    """Pool gradient routed through maxpool2x2_loops' argmax index map."""
+    _, indices = maxpool2x2_loops(x)
+    flat = np.zeros(x.size)
+    flat[indices.ravel()] = grad_out.ravel()
+    return flat.reshape(x.shape)
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 class TestMaxPool:
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(1, 3), st.integers(2, 7), st.integers(2, 7),
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(2, 9), st.integers(2, 9),
            st.integers(0, 2 ** 31 - 1), st.booleans())
     def test_matches_loop_oracle(self, c, h, w, seed, quantize):
         r = rng(seed)
         x = r.standard_normal((c, h, w))
         if quantize:
-            x = np.round(x)  # force plenty of ties
-        pooled, idx = ops.maxpool2x2(x)
-        want_p, want_i = maxpool2x2_loops(x)
-        assert np.array_equal(pooled, want_p)
-        assert np.array_equal(idx, want_i)
+            x = np.round(x)  # plenty of ties, including +0.0 against -0.0
+        want_pooled, _ = maxpool2x2_loops(x)
+        assert_same_bits(ops.maxpool2x2(x), want_pooled)
+        g = r.standard_normal(want_pooled.shape)
+        g.flat[0] = -0.0  # a signed-zero gradient must arrive as is
+        assert_same_bits(ops.maxpool2x2_backward(g, x),
+                         scatter_through_oracle(g, x))
 
     def test_odd_edges_dropped(self):
         x = np.arange(15, dtype=np.float64).reshape(1, 3, 5)
-        pooled, _ = ops.maxpool2x2(x)
+        pooled = ops.maxpool2x2(x)
         assert pooled.shape == (1, 1, 2)
         assert np.array_equal(pooled[0], [[6.0, 8.0]])
+        back = ops.maxpool2x2_backward(np.array([[[2.0, 3.0]]]), x)
+        want = np.zeros((1, 3, 5))
+        want[0, 1, 1], want[0, 1, 3] = 2.0, 3.0
+        assert_same_bits(back, want)
 
     def test_too_small(self):
         with pytest.raises(ops.DimensionError):
             ops.maxpool2x2(np.zeros((1, 1, 4)))
 
     def test_backward_scatters_to_argmax(self):
-        x = rng(8).standard_normal((2, 6, 6))
-        pooled, idx = ops.maxpool2x2(x)
-        g = rng(9).standard_normal(pooled.shape)
-        back = ops.maxpool2x2_backward(g, idx, x.shape)
-        assert back.shape == x.shape
-        assert np.isclose(back.sum(), g.sum())
-        # Every gradient entry lands exactly on its window's argmax.
-        flat = back.ravel()
-        assert np.array_equal(flat[idx.ravel()], g.ravel())
-        nonzero = np.flatnonzero(flat)
-        assert set(nonzero) <= set(idx.ravel())
+        # Three channels, odd height and width, quantized values full of ties.
+        r = rng(8)
+        x = np.round(r.standard_normal((3, 7, 9)) * 0.7)
+        g = r.standard_normal((3, 3, 4))
+        assert_same_bits(ops.maxpool2x2_backward(g, x),
+                         scatter_through_oracle(g, x))
+
+    def test_constant_window_routes_to_top_left(self):
+        x = np.full((2, 4, 4), 0.25)
+        g = rng(9).standard_normal((2, 2, 2))
+        back = ops.maxpool2x2_backward(g, x)
+        assert_same_bits(back[:, 0::2, 0::2], g)
+        for a, b in ((0, 1), (1, 0), (1, 1)):
+            assert_same_bits(back[:, a::2, b::2], np.zeros((2, 2, 2)))
 
     def test_backward_rejects_mismatch(self):
-        x = rng(8).standard_normal((1, 4, 4))
-        pooled, idx = ops.maxpool2x2(x)
-        with pytest.raises(ops.ConsistencyError):
-            ops.maxpool2x2_backward(np.zeros((1, 3, 2)), idx, x.shape)
-        with pytest.raises(ops.ConsistencyError):
-            ops.maxpool2x2_backward(np.zeros(pooled.shape), idx, (1, 2, 2))
+        x = rng(8).standard_normal((1, 5, 4))
+        with pytest.raises(ops.DimensionError, match=r"\(1, 3, 2\)"):
+            ops.maxpool2x2_backward(np.zeros((1, 3, 2)), x)
 
 
 class TestDense:
