@@ -115,9 +115,14 @@ class RunConfig:
             raise UsageError(
                 f"{len(self.filters)} filter counts vs {len(self.kernels)} "
                 "kernel sizes")
-        for name, value, least in (("epochs", self.epochs, 1),
+        # The synth grid floor is SynthConfig's; a negative seed would only
+        # fail inside SeedSequence, after the output directory exists.
+        for name, value, least in (("seed", self.seed, 0),
+                                   ("epochs", self.epochs, 1),
                                    ("batch", self.batch, 1),
                                    ("per-class", self.per_class, 1),
+                                   ("height", self.synth_height, 8),
+                                   ("width", self.synth_width, 8),
                                    ("bench-images", self.bench_images, 1),
                                    ("runs", self.bench_repeats, 1),
                                    ("warmup", self.bench_warmup, 0)):

@@ -6,6 +6,12 @@ collapses to a plain convolution bit-for-bit. The classifier is a fixed
 stack of such blocks (each followed by tanh and 2x2 max pooling), a hidden
 dense layer with tanh, and a linear output layer.
 
+Forward and backward passes take one image ``[C, H, W]`` or a batch
+``[N, C, H, W]`` through the same code. A batch runs each layer once for all
+samples, with per-sample GEMMs, and adds the per-sample parameter gradients
+to the gradient buffer one sample at a time, so the result is bitwise the
+running total of one-image passes.
+
 All parameters live in one flat float64 buffer; the per-layer arrays are
 reshaped views into it, which keeps optimizer updates, snapshots and the
 weight-file format trivially consistent.
@@ -223,18 +229,30 @@ def build_model(config: ModelConfig, rng_seed: int) -> Model:
 
 
 def power_stack(x: Tensor, q_order: int) -> Tensor:
-    """Channel-stacked powers [x, x**2, ..., x**Q] of shape (Q*Cin, H, W).
+    """Channel-stacked powers [x, x**2, ..., x**Q] of shape (..., Q*Cin, H, W).
 
     Built by repeated multiplication and computed once per forward pass, so
     forward and backward see numerically identical power maps. Channel
     block q (zero-based) holds x**(q+1).
     """
-    cin = x.shape[0]
-    stack = np.empty((q_order * cin, x.shape[1], x.shape[2]))
-    stack[:cin] = x
+    cin = x.shape[-3]
+    stack = np.empty((*x.shape[:-3], q_order * cin, *x.shape[-2:]))
+    stack[..., :cin, :, :] = x
     for q in range(1, q_order):
-        np.multiply(stack[(q - 1) * cin:q * cin], x, out=stack[q * cin:(q + 1) * cin])
+        np.multiply(stack[..., (q - 1) * cin:q * cin, :, :], x,
+                    out=stack[..., q * cin:(q + 1) * cin, :, :])
     return stack
+
+
+def _accumulate(total: Tensor, per_sample: Tensor) -> None:
+    """Add per-sample gradients to `total` in place, one sample at a time.
+
+    This is exactly a running total over one-sample passes; a numpy
+    reduction over the sample axis may pair the terms otherwise (it does
+    when `total` has a single element).
+    """
+    for g in per_sample.reshape(-1, *total.shape):
+        total += g
 
 
 def _merged_kernels(layer: SelfOnnLayerParams) -> Tensor:
@@ -256,32 +274,48 @@ def selfonn_forward(layer: SelfOnnLayerParams, x: Tensor,
                             layer.biases.sum(axis=0))
 
 
-def selfonn_backward(layer: SelfOnnLayerParams, stack: Tensor,
-                     grad_out: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+def selfonn_backward(layer: SelfOnnLayerParams, stack: Tensor, grad_out: Tensor,
+                     input_grad: bool = True) -> tuple[Tensor, Tensor, Tensor | None]:
     """Backward through a generative layer given its forward power stack.
 
-    Returns (grad_kernels, grad_biases, grad_input). Kernel gradients are
-    the convolution weight-adjoint per power map; every per-q bias sees the
-    same summed grad_out; the input gradient applies the power rule,
+    `stack` is [..., Q*Cin, H, W] and `grad_out` [..., Cout, H', W'] with the
+    same leading dimensions. Returns (grad_kernels, grad_biases, grad_input),
+    each per sample: [..., Q, Cout, Cin, Kh, Kw], [..., Q, Cout] and the
+    input's shape. Kernel gradients are the convolution weight-adjoint per
+    power map; every per-q bias sees the same summed grad_out; the input
+    gradient, None unless `input_grad`, applies the power rule,
     grad_input = sum_q q * x**(q-1) * conv_input_adjoint(kernels[q]), with
-    the q=1 term added directly since its factor is one.
+    the q=1 term added directly since its factor is one. The conv adjoints
+    run one sample per call, so no batch-sized patch matrix is ever built.
     """
     q_order = layer.q_order
     cin = layer.kernels.shape[2]
-    if stack.shape[0] != q_order * cin:
+    if stack.shape[-3] != q_order * cin:
         raise ConsistencyError(
-            f"power stack has {stack.shape[0]} channels, layer needs "
+            f"power stack has {stack.shape[-3]} channels, layer needs "
             f"{q_order} x {cin}")
     cout, kh, kw = layer.kernels.shape[1], layer.kernels.shape[3], layer.kernels.shape[4]
-    gw = ops.conv2d_backward_weights(stack, grad_out)
-    grad_kernels = gw.reshape(cout, q_order, cin, kh, kw).transpose(1, 0, 2, 3, 4).copy()
-    grad_biases = np.broadcast_to(grad_out.sum(axis=(1, 2)),
-                                  (q_order, cout)).copy()
-    gin_all = ops.conv2d_backward_input(_merged_kernels(layer), grad_out)
-    grad_input = gin_all[:cin]
+    lead = stack.shape[:-3]
+    merged = _merged_kernels(layer)
+    stacks = stack.reshape(-1, *stack.shape[-3:])
+    grads = grad_out.reshape(-1, *grad_out.shape[-3:])
+    gw = np.empty((len(stacks), *merged.shape))
+    gb = np.empty((len(stacks), cout))
+    gin_all = np.empty(stacks.shape) if input_grad else None
+    for n, (s, g) in enumerate(zip(stacks, grads)):
+        gw[n] = ops.conv2d_backward_weights(s, g)
+        gb[n] = g.sum(axis=(1, 2))
+        if input_grad:
+            gin_all[n] = ops.conv2d_backward_input(merged, g)
+    grad_kernels = gw.reshape(*lead, cout, q_order, cin, kh, kw).swapaxes(-5, -4)
+    grad_biases = np.broadcast_to(gb.reshape(*lead, 1, cout), (*lead, q_order, cout))
+    if not input_grad:
+        return grad_kernels, grad_biases, None
+    gin_all = gin_all.reshape(stack.shape)
+    grad_input = gin_all[..., :cin, :, :]
     for q in range(1, q_order):
-        grad_input = grad_input + (q + 1) * stack[(q - 1) * cin:q * cin] \
-            * gin_all[q * cin:(q + 1) * cin]
+        grad_input = grad_input + (q + 1) * stack[..., (q - 1) * cin:q * cin, :, :] \
+            * gin_all[..., q * cin:(q + 1) * cin, :, :]
     return grad_kernels, grad_biases, grad_input
 
 
@@ -293,65 +327,84 @@ class BlockCache:
 
 @dataclass
 class ForwardCache:
-    blocks: list[BlockCache]
+    blocks: list[BlockCache | None]   # an entry is None once backward used it
     flat_input: Tensor        # flattened final pooled map
     hidden_activated: Tensor
 
 
 def model_forward(model: Model, x: Tensor,
                   train_mode: bool = False) -> tuple[Tensor, ForwardCache | None]:
-    """Full forward pass to raw logits; caches intermediates when training."""
+    """Forward pass to raw logits; caches intermediates when training.
+
+    `x` is one image [C,H,W], giving (K,) logits, or a batch [N,C,H,W],
+    giving (N,K); each sample's logits are bitwise those it gets alone.
+    """
     cfg = model.config
-    if tuple(x.shape) != cfg.input_shape:
+    if x.ndim < 3 or tuple(x.shape[-3:]) != cfg.input_shape:
         raise DimensionError(
             f"input shape {tuple(x.shape)} vs configured {cfg.input_shape}")
     block_caches = []
     cur = x
     for layer in model.blocks:
         stack = power_stack(cur, layer.q_order)
-        act = ops.tanh_forward(selfonn_forward(layer, cur, stack))
+        act = selfonn_forward(layer, cur, stack)
+        ops.tanh_forward(act, out=act)
         cur = ops.maxpool2x2(act)
         if train_mode:
             block_caches.append(BlockCache(stack, act))
-    flat_in = cur.reshape(-1)
-    hidden_act = ops.tanh_forward(
-        ops.dense_forward(flat_in, model.hidden.weights, model.hidden.bias))
+    flat_in = cur.reshape(*cur.shape[:-3], -1)
+    hidden_act = ops.dense_forward(flat_in, model.hidden.weights, model.hidden.bias)
+    ops.tanh_forward(hidden_act, out=hidden_act)
     logits = ops.dense_forward(hidden_act, model.output.weights, model.output.bias)
     cache = ForwardCache(block_caches, flat_in, hidden_act) if train_mode else None
     return logits, cache
 
 
-def model_backward(model: Model, cache: ForwardCache,
-                   grad_logits: Tensor) -> tuple[Tensor, Tensor]:
-    """Backward pass from dL/dlogits.
+def model_backward(model: Model, cache: ForwardCache, grad_logits: Tensor,
+                   input_grad: bool = True,
+                   grads: Tensor | None = None) -> tuple[Tensor, Tensor | None]:
+    """Backward pass from dL/dlogits, (K,) for one image or (N,K) for a batch.
 
-    Returns (flat_grads, grad_input): the parameter gradient aligned with
-    the model's flat view, plus the gradient w.r.t. the network input.
+    Returns (flat_grads, grad_input). flat_grads is the parameter gradient
+    aligned with the model's flat view: each sample's gradient is added, in
+    sample order, to `grads` (in place) or to a new zero buffer, so several
+    passes can share one running total. grad_input is the gradient w.r.t.
+    the network input, shaped like that input, or None when `input_grad` is
+    False (training never uses it). The pass consumes the cache: it
+    overwrites the cached activations and releases each block's entry once
+    done with it.
     """
     if cache is None or len(cache.blocks) != len(model.blocks):
         raise ConsistencyError("forward cache does not match this model")
-    grads = np.zeros_like(model.flat)
-    gview = Model.from_flat(model.config, grads)  # same offsets, zero-filled
+    if any(bc is None for bc in cache.blocks):
+        raise ConsistencyError("forward cache was already used by a backward pass")
+    if grads is None:
+        grads = np.zeros_like(model.flat)
+    gview = Model.from_flat(model.config, grads)  # same offsets as the model
 
     g_hidden_act, gw, gb = ops.dense_backward(
         cache.hidden_activated, model.output.weights, grad_logits)
-    gview.output.weights[...] = gw
-    gview.output.bias[...] = gb
+    _accumulate(gview.output.weights, gw)
+    _accumulate(gview.output.bias, gb)
 
-    g_hidden_pre = ops.tanh_backward(cache.hidden_activated, g_hidden_act)
+    g_hidden_pre = ops.tanh_backward(cache.hidden_activated, g_hidden_act,
+                                     out=cache.hidden_activated)
     g_flat, gw, gb = ops.dense_backward(
         cache.flat_input, model.hidden.weights, g_hidden_pre)
-    gview.hidden.weights[...] = gw
-    gview.hidden.bias[...] = gb
+    _accumulate(gview.hidden.weights, gw)
+    _accumulate(gview.hidden.bias, gb)
 
-    g = g_flat.reshape(feature_map_chain(model.config)[-1])
+    g = g_flat.reshape(*g_flat.shape[:-1], *feature_map_chain(model.config)[-1])
     for i in range(len(model.blocks) - 1, -1, -1):
         bc = cache.blocks[i]
-        g_act = ops.maxpool2x2_backward(g, bc.activated)
-        g_pre = ops.tanh_backward(bc.activated, g_act)
-        gk, gb, g = selfonn_backward(model.blocks[i], bc.stack, g_pre)
-        gview.blocks[i].kernels[...] = gk
-        gview.blocks[i].biases[...] = gb
+        cache.blocks[i] = None
+        # The pool gradient is a temporary: freed before the conv adjoints run.
+        g_pre = ops.tanh_backward(bc.activated, ops.maxpool2x2_backward(g, bc.activated),
+                                  out=bc.activated)
+        gk, gb, g = selfonn_backward(model.blocks[i], bc.stack, g_pre,
+                                     input_grad=input_grad or i > 0)
+        _accumulate(gview.blocks[i].kernels, gk)
+        _accumulate(gview.blocks[i].biases, gb)
     return grads, g
 
 

@@ -1,16 +1,22 @@
 """Dense-tensor kernels everything else composes.
 
-Feature maps are float64 numpy arrays in channel-first ``[C, H, W]`` layout,
-kernel banks are ``[Cout, Cin, Kh, Kw]``. Convolution is the unpadded
-cross-correlation (no kernel flip); its two adjoints, 2x2 max pooling (whose
-backward pass re-derives the max positions from the pre-pool map), the dense
-affine map, tanh, softmax and cross-entropy are all pure functions with
-hand-derived backward passes. No autograd graph.
+Feature maps are float64 numpy arrays in channel-first ``[..., C, H, W]``
+layout: any leading dimensions (typically one batch axis ``N``) are carried
+through, so a single image ``[C, H, W]`` and a batch ``[N, C, H, W]`` run
+through the same code. Kernel banks are ``[Cout, Cin, Kh, Kw]``.
+Convolution is the unpadded cross-correlation (no kernel flip); its two
+adjoints, 2x2 max pooling (whose backward pass re-derives the max positions
+from the pre-pool map), the dense affine map, tanh, softmax and
+cross-entropy are all pure functions with hand-derived backward passes. No
+autograd graph.
 
 Both forward and backward convolutions run as GEMMs over im2col patch
-matrices; the forward pass builds its patch matrix one band of output rows
-at a time so it stays cache-sized, and the input adjoint scatters its
-column product back with a small col2im loop over kernel offsets.
+matrices. The forward pass builds its patch matrix one band of output rows
+at a time, for all samples at once, so it stays cache-sized; its GEMMs are
+stacked ``np.matmul`` calls, one BLAS call per sample, so every sample's
+result is bitwise what it would be on its own. The two adjoints take one
+sample ``[C, H, W]`` per call; the input adjoint scatters its column product
+back with a small col2im loop over kernel offsets.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 # Aliases for readability; everything is plain numpy underneath.
 Tensor = np.ndarray
@@ -62,19 +68,23 @@ def as_tensor(data, shape: Shape | None = None) -> Tensor:
 
 
 def _im2col(x: Tensor, kh: int, kw: int) -> Tensor:
-    """Patch matrix of shape (Cin*kh*kw, H'*W') for a [Cin,H,W] input."""
-    cin = x.shape[0]
-    win = sliding_window_view(x, (kh, kw), axis=(1, 2))  # (Cin, H', W', kh, kw)
-    hp, wp = win.shape[1], win.shape[2]
-    return win.transpose(0, 3, 4, 1, 2).reshape(cin * kh * kw, hp * wp)
+    """Patch matrices (..., Cin*kh*kw, H'*W') for a [..., Cin, H, W] input."""
+    *lead, cin, h, w = x.shape
+    hp, wp = h - kh + 1, w - kw + 1
+    row, col = x.strides[-2:]
+    # (..., Cin, kh, kw, H', W') window view; the reshape copies it out.
+    win = as_strided(x, (*lead, cin, kh, kw, hp, wp),
+                     (*x.strides[:-2], row, col, row, col), writeable=False)
+    return win.reshape(*lead, cin * kh * kw, hp * wp)
 
 
 def _band_rows(patch: int, wp: int) -> int:
     """Output rows per forward band for a patch length and output width.
 
-    As many rows as keep the band's (patch, rows*wp) patch matrix within
-    _BAND_ELEMENTS, rounded down to whole _BAND_COLUMNS multiples of columns;
-    never fewer than one such multiple.
+    `patch` is the patch length times the number of samples in the call. As
+    many rows as keep the band's patch matrices, patch * rows*wp entries,
+    within _BAND_ELEMENTS, rounded down to whole _BAND_COLUMNS multiples of
+    columns; never fewer than one such multiple.
     """
     step = _BAND_COLUMNS // math.gcd(wp, _BAND_COLUMNS)
     rows = _BAND_ELEMENTS // (patch * wp)
@@ -82,31 +92,35 @@ def _band_rows(patch: int, wp: int) -> int:
 
 
 def conv2d_valid(x: Tensor, kernels: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Valid cross-correlation of a [Cin,H,W] map with a [Cout,Cin,Kh,Kw] bank.
+    """Valid cross-correlation of a [..., Cin, H, W] map with a [Cout,Cin,Kh,Kw] bank.
 
-    out[o,m,n] = bias[o] + sum_{c,r,t} kernels[o,c,r,t] * x[c,m+r,n+t]
+    out[...,o,m,n] = bias[o] + sum_{c,r,t} kernels[o,c,r,t] * x[...,c,m+r,n+t]
 
-    No padding, no kernel flip; the output shrinks to [Cout, H-Kh+1, W-Kw+1].
-    Runs as one GEMM per band of output rows (see _band_rows).
+    No padding, no kernel flip; the output shrinks to [..., Cout, H-Kh+1,
+    W-Kw+1]. Each band of output rows (see _band_rows, sized for all samples
+    together) is one stacked matmul: a GEMM per sample, never one GEMM
+    across samples, so a sample's output does not depend on its batch.
     """
-    _require(x.ndim == 3, f"input must be [Cin,H,W], got shape {tuple(x.shape)}")
+    _require(x.ndim >= 3, f"input must be [...,Cin,H,W], got shape {tuple(x.shape)}")
     _require(kernels.ndim == 4,
              f"kernels must be [Cout,Cin,Kh,Kw], got shape {tuple(kernels.shape)}")
     cout, cin, kh, kw = kernels.shape
-    _require(x.shape[0] == cin,
+    _require(x.shape[-3] == cin,
              f"channel mismatch: input {tuple(x.shape)} vs kernels {tuple(kernels.shape)}")
-    _require(x.shape[1] >= kh and x.shape[2] >= kw,
+    _require(x.shape[-2] >= kh and x.shape[-1] >= kw,
              f"kernel {tuple(kernels.shape)} does not fit input {tuple(x.shape)}")
-    hp = x.shape[1] - kh + 1
-    wp = x.shape[2] - kw + 1
+    lead = x.shape[:-3]
+    samples = x.reshape(-1, *x.shape[-3:])
+    hp = x.shape[-2] - kh + 1
+    wp = x.shape[-1] - kw + 1
     kmat = kernels.reshape(cout, cin * kh * kw)
-    rows = _band_rows(kmat.shape[1], wp)
-    out = np.empty((cout, hp * wp))
+    rows = _band_rows(samples.shape[0] * kmat.shape[1], wp)
+    out = np.empty((samples.shape[0], cout, hp * wp))
     for r0 in range(0, hp, rows):
         r1 = min(r0 + rows, hp)
-        np.matmul(kmat, _im2col(x[:, r0:r1 + kh - 1], kh, kw),
-                  out=out[:, r0 * wp:r1 * wp])
-    out = out.reshape(cout, hp, wp)
+        np.matmul(kmat, _im2col(samples[:, :, r0:r1 + kh - 1], kh, kw),
+                  out=out[:, :, r0 * wp:r1 * wp])
+    out = out.reshape(*lead, cout, hp, wp)
     if bias is not None:
         _require(bias.shape == (cout,),
                  f"bias shape {tuple(bias.shape)} vs Cout={cout}")
@@ -167,13 +181,21 @@ def elementwise_pow(t: Tensor, q: int) -> Tensor:
     return out
 
 
-def tanh_forward(t: Tensor) -> Tensor:
-    return np.tanh(t)
+def tanh_forward(t: Tensor, out: Tensor | None = None) -> Tensor:
+    """Elementwise tanh; pass out=t to overwrite the input in place."""
+    return np.tanh(t, out=out)
 
 
-def tanh_backward(activated: Tensor, grad_out: Tensor) -> Tensor:
-    """Chain rule through tanh given the *activated* values (not pre-activations)."""
-    return grad_out * (1.0 - activated * activated)
+def tanh_backward(activated: Tensor, grad_out: Tensor,
+                  out: Tensor | None = None) -> Tensor:
+    """Chain rule through tanh given the *activated* values (not pre-activations).
+
+    grad_out * (1 - activated**2); pass out=activated to reuse that buffer
+    once the activations are no longer needed.
+    """
+    deriv = np.multiply(activated, activated, out=out)
+    np.subtract(1.0, deriv, out=deriv)
+    return np.multiply(grad_out, deriv, out=deriv)
 
 
 def _pool_cells(x: Tensor) -> tuple[Tensor, Tensor, Tensor, Tensor]:
@@ -181,8 +203,8 @@ def _pool_cells(x: Tensor) -> tuple[Tensor, Tensor, Tensor, Tensor]:
 
     A trailing odd row/column is left out (floor semantics).
     """
-    h2, w2 = x.shape[1] // 2, x.shape[2] // 2
-    return tuple(x[:, a:2 * h2:2, b:2 * w2:2] for a in (0, 1) for b in (0, 1))
+    h2, w2 = x.shape[-2] // 2, x.shape[-1] // 2
+    return tuple(x[..., a:2 * h2:2, b:2 * w2:2] for a in (0, 1) for b in (0, 1))
 
 
 def _pool_max(cells) -> Tensor:
@@ -194,10 +216,10 @@ def _pool_max(cells) -> Tensor:
 
 
 def maxpool2x2(x: Tensor) -> Tensor:
-    """Disjoint 2x2 stride-2 max pool of a [C,H,W] map; odd edges are dropped."""
-    _require(x.ndim == 3, f"input must be [C,H,W], got shape {tuple(x.shape)}")
-    _require(x.shape[1] >= 2 and x.shape[2] >= 2,
-             f"cannot 2x2-pool a {x.shape[1]}x{x.shape[2]} map")
+    """Disjoint 2x2 stride-2 max pool of a [..., C, H, W] map; odd edges are dropped."""
+    _require(x.ndim >= 3, f"input must be [...,C,H,W], got shape {tuple(x.shape)}")
+    _require(x.shape[-2] >= 2 and x.shape[-1] >= 2,
+             f"cannot 2x2-pool a {x.shape[-2]}x{x.shape[-1]} map")
     return _pool_max(_pool_cells(x))
 
 
@@ -223,26 +245,40 @@ def maxpool2x2_backward(grad_out: Tensor, x: Tensor) -> Tensor:
     return grad
 
 
+def _matvec(matrix: Tensor, x: Tensor) -> Tensor:
+    """matrix @ x for each sample of x [..., D], as stacked matrix-vector products.
+
+    Each sample's product is the one it gets alone; a single (N, D) @ (D, U)
+    GEMM over the batch would round differently.
+    """
+    return np.matmul(matrix, x[..., None])[..., 0]
+
+
 def dense_forward(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
-    """Affine map: out[u] = bias[u] + sum_d weights[u,d] * x[d]."""
-    _require(x.ndim == 1 and weights.ndim == 2,
-             f"need [D] and [U,D], got {tuple(x.shape)} and {tuple(weights.shape)}")
+    """Affine map: out[...,u] = bias[u] + sum_d weights[u,d] * x[...,d]."""
+    _require(x.ndim >= 1 and weights.ndim == 2,
+             f"need [...,D] and [U,D], got {tuple(x.shape)} and {tuple(weights.shape)}")
     u, d = weights.shape
-    _require(x.shape[0] == d,
-             f"input length {x.shape[0]} vs weights {tuple(weights.shape)}")
+    _require(x.shape[-1] == d,
+             f"input length {x.shape[-1]} vs weights {tuple(weights.shape)}")
     _require(bias.shape == (u,), f"bias shape {tuple(bias.shape)} vs U={u}")
-    return weights @ x + bias
+    return _matvec(weights, x) + bias
 
 
 def dense_backward(x: Tensor, weights: Tensor,
                    grad_out: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-    """Adjoint of dense_forward: (grad_x, grad_weights, grad_bias)."""
+    """Adjoint of dense_forward: (grad_x, grad_weights, grad_bias) per sample.
+
+    For [..., D] inputs the weight and bias gradients keep the leading
+    dimensions, [..., U, D] and [..., U]; summing them is the caller's job.
+    """
     u, d = weights.shape
-    _require(grad_out.shape == (u,),
+    _require(grad_out.shape[-1:] == (u,),
              f"grad shape {tuple(grad_out.shape)} vs U={u}")
-    _require(x.shape == (d,), f"input shape {tuple(x.shape)} vs D={d}")
-    grad_x = weights.T @ grad_out
-    grad_w = np.outer(grad_out, x)
+    _require(x.shape == grad_out.shape[:-1] + (d,),
+             f"input shape {tuple(x.shape)} vs D={d} and grad {tuple(grad_out.shape)}")
+    grad_x = _matvec(weights.T, grad_out)
+    grad_w = grad_out[..., :, None] * x[..., None, :]
     grad_b = grad_out.copy()
     return grad_x, grad_w, grad_b
 
@@ -256,21 +292,27 @@ def softmax(logits: Tensor) -> Tensor:
     return e / e.sum()
 
 
-def cross_entropy_with_softmax(logits: Tensor, target_class: int) -> tuple[float, Tensor]:
-    """Single-sample cross-entropy on raw logits.
+def cross_entropy_with_softmax(logits: Tensor, target_class) -> tuple[float | Tensor, Tensor]:
+    """Per-sample cross-entropy on raw [..., K] logits.
 
     Returns (loss, dL/dlogits) with loss = -log softmax(logits)[target] and
     gradient softmax(logits) - onehot(target), both computed through the
-    max-shifted log-sum-exp for stability. Batch losses are means over
-    per-sample calls.
+    max-shifted log-sum-exp for stability. `target_class` has the logits'
+    leading shape; one sample (1-D logits, an int target) gives a float
+    loss, a batch gives one loss per sample. Nothing is averaged here.
     """
-    k = logits.shape[0]
-    if not 0 <= target_class < k:
+    k = logits.shape[-1]
+    target = np.asarray(target_class)
+    if target.shape != logits.shape[:-1]:
+        raise DimensionError(
+            f"target shape {target.shape} vs logits {tuple(logits.shape)}")
+    if np.any((target < 0) | (target >= k)):
         raise ValueError(f"target class {target_class} outside [0, {k})")
-    z = logits - logits.max()
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    s = e.sum()
-    loss = float(np.log(s) - z[target_class])
+    s = e.sum(axis=-1, keepdims=True)
+    pick = target[..., None]
+    loss = (np.log(s) - np.take_along_axis(z, pick, axis=-1))[..., 0]
     grad = e / s
-    grad[target_class] -= 1.0
-    return loss, grad
+    np.put_along_axis(grad, pick, np.take_along_axis(grad, pick, axis=-1) - 1.0, axis=-1)
+    return (float(loss) if loss.ndim == 0 else loss), grad

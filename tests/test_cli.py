@@ -148,7 +148,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["train", "--batch", "0"], ["train", "--epochs", "0"],
         ["train", "--lr", "-1"], ["train", "--lr", "nan"],
-        ["synth", "--per-class", "0"], ["bench", "--runs", "0"],
+        ["synth", "--per-class", "0"], ["synth", "--seed", "-1"],
+        ["synth", "--height", "4"], ["bench", "--runs", "0"],
         ["bench", "--bench-images", "0"], ["bench", "--warmup", "-1"]],
         ids=lambda argv: f"{argv[0]}{argv[1]}={argv[2]}")
     def test_bad_setting_rejected_before_data(self, argv, tmp_path, capsys):

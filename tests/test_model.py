@@ -176,6 +176,42 @@ class TestFullModel:
         with pytest.raises(ops.ConsistencyError):
             sm.model_backward(m, None, np.zeros(3))
 
+    def test_backward_consumes_the_cache(self):
+        m = sm.build_model(REDUCED, 3)
+        x = np.random.default_rng(0).random(REDUCED.input_shape)
+        logits, cache = sm.model_forward(m, x, train_mode=True)
+        _, g = ops.cross_entropy_with_softmax(logits, 1)
+        sm.model_backward(m, cache, g)
+        with pytest.raises(ops.ConsistencyError, match="already used"):
+            sm.model_backward(m, cache, g)
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_batch_backward_matches_single_images(self, q):
+        cfg = reduced(q)
+        m = sm.build_model(cfg, 30 + q)
+        r = np.random.default_rng(6)
+        x = r.uniform(-1, 1, size=(3, *cfg.input_shape))
+        y = np.array([0, 2, 1])
+        total = np.zeros_like(m.flat)
+        singles = []
+        for xi, yi in zip(x, y):
+            logits, cache = sm.model_forward(m, xi, train_mode=True)
+            _, g = ops.cross_entropy_with_softmax(logits, int(yi))
+            grads, grad_in = sm.model_backward(m, cache, g)
+            total += grads
+            singles.append(grad_in)
+        for input_grad in (True, False):
+            logits, cache = sm.model_forward(m, x, train_mode=True)
+            _, g = ops.cross_entropy_with_softmax(logits, y)
+            grads, grad_in = sm.model_backward(m, cache, g, input_grad=input_grad)
+            assert np.array_equal(grads, total)
+            if input_grad:
+                assert grad_in.shape == x.shape
+                for got, want in zip(grad_in, singles):
+                    assert np.array_equal(got, want)
+            else:
+                assert grad_in is None
+
     @pytest.mark.parametrize("q", [1, 2, 3])
     def test_gradients_match_finite_differences(self, q):
         cfg = reduced(q)

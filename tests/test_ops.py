@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from selfonn_kit import ops
-from selfonn_kit.model import power_stack
+from selfonn_kit.model import ModelConfig, build_model, model_forward, power_stack
 from reference import (conv2d_valid_loops, conv2d_backward_input_loops,
                        conv2d_backward_weights_loops, maxpool2x2_loops,
                        central_difference, relative_error)
@@ -331,3 +331,103 @@ class TestSoftmaxCrossEntropy:
     def test_needs_two_classes(self):
         with pytest.raises(ops.DimensionError):
             ops.softmax(np.array([1.0]))
+
+
+class TestBatchedOps:
+    """[N, C, H, W] inputs: every sample as its loop oracle and as its own call."""
+
+    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("h,w", [(9, 12), (8, 11), (21, 121)])
+    def test_conv_on_power_stacks(self, n, h, w):
+        r = rng(31)
+        x = power_stack(r.random((n, 1, h, w)), 3)
+        rows = ops._band_rows(n * 3 * 5 * 5, w - 4)
+        if h == 21:  # several bands plus a remainder band
+            assert rows < h - 4 and (h - 4) % rows
+        k = r.standard_normal((2, 3, 5, 5))
+        b = r.standard_normal(2)
+        got = ops.conv2d_valid(x, k, b)
+        assert got.shape == (n, 2, h - 4, w - 4)
+        for xi, gi in zip(x, got):
+            assert np.allclose(gi, conv2d_valid_loops(xi, k, b),
+                               rtol=1e-12, atol=1e-12)
+            assert np.array_equal(gi, ops.conv2d_valid(xi, k, b))
+
+    def test_power_stack(self):
+        x = rng(32).uniform(-2, 2, size=(5, 2, 7, 9))
+        stack = power_stack(x, 3)
+        assert stack.shape == (5, 6, 7, 9)
+        for xi, si in zip(x, stack):
+            assert np.array_equal(si, power_stack(xi, 3))
+            assert np.array_equal(si[:2], xi)
+            assert np.array_equal(si[2:4], xi * xi)
+            assert np.array_equal(si[4:], xi * xi * xi)
+
+    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("h,w", [(7, 9), (6, 8)])
+    def test_pool_forward_and_backward(self, n, h, w):
+        r = rng(33)
+        x = np.round(r.standard_normal((n, 3, h, w)))  # ties, +0.0 and -0.0
+        pooled = ops.maxpool2x2(x)
+        g = r.standard_normal(pooled.shape)
+        back = ops.maxpool2x2_backward(g, x)
+        for xi, pi, gi, bi in zip(x, pooled, g, back):
+            assert_same_bits(pi, maxpool2x2_loops(xi)[0])
+            assert_same_bits(bi, scatter_through_oracle(gi, xi))
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_dense_head(self, n):
+        r = rng(34)
+        w = r.standard_normal((4, 7))
+        b = r.standard_normal(4)
+        x = r.standard_normal((n, 7))
+        g = r.standard_normal((n, 4))
+        out = ops.dense_forward(x, w, b)
+        gx, gw, gb = ops.dense_backward(x, w, g)
+        assert gw.shape == (n, 4, 7) and gb.shape == (n, 4)
+        for i in range(n):
+            assert np.array_equal(out[i], ops.dense_forward(x[i], w, b))
+            assert np.allclose(out[i], w @ x[i] + b, rtol=1e-14)
+            single = ops.dense_backward(x[i], w, g[i])
+            for batched, alone in zip((gx[i], gw[i], gb[i]), single):
+                assert np.array_equal(batched, alone)
+            assert np.array_equal(gw[i], np.outer(g[i], x[i]))
+            assert np.allclose(gx[i], w.T @ g[i], rtol=1e-14)
+
+    def test_tanh_in_place(self):
+        t = rng(35).standard_normal((5, 2, 3, 4))
+        a = ops.tanh_forward(t)
+        g = rng(36).standard_normal(t.shape)
+        want = g * (1.0 - a * a)
+        assert np.array_equal(ops.tanh_backward(a, g), want)
+        assert ops.tanh_forward(t, out=t) is t and np.array_equal(t, a)
+        assert ops.tanh_backward(a, g, out=a) is a and np.array_equal(a, want)
+
+    def test_cross_entropy(self):
+        r = rng(37)
+        logits = r.standard_normal((6, 3)) * 4
+        targets = r.integers(0, 3, 6)
+        losses, grads = ops.cross_entropy_with_softmax(logits, targets)
+        assert losses.shape == (6,) and grads.shape == (6, 3)
+        for i in range(6):
+            loss, grad = ops.cross_entropy_with_softmax(logits[i], int(targets[i]))
+            assert isinstance(loss, float) and loss == losses[i]
+            assert np.array_equal(grad, grads[i])
+        with pytest.raises(ValueError):
+            ops.cross_entropy_with_softmax(logits, np.full(6, 3))
+        with pytest.raises(ops.DimensionError):
+            ops.cross_entropy_with_softmax(logits, 1)
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_logits_do_not_depend_on_the_batch(self, q, n):
+        cfg = ModelConfig(q_order=q, input_shape=(1, 27, 33), block_filters=(3, 2),
+                          kernel_sizes=(5, 3), dense_units=6, classes=3)
+        net = build_model(cfg, 40 + q)
+        x = rng(41).random((n, *cfg.input_shape))
+        logits, _ = model_forward(net, x)
+        assert logits.shape == (n, 3)
+        for xi, li in zip(x, logits):
+            alone, _ = model_forward(net, xi)
+            assert alone.shape == (3,)
+            assert np.array_equal(li, alone)

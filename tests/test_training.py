@@ -1,8 +1,12 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
-from selfonn_kit import ops
-from selfonn_kit.model import ModelConfig, build_model
+import reference as ref
+from selfonn_kit import ops, training
+from selfonn_kit.model import (Model, ModelConfig, build_model, model_backward,
+                               model_forward)
 from selfonn_kit.training import (AdamState, DivergenceError, EarlyStopper,
                                   LrSchedule, TrainConfig, adam_step, evaluate,
                                   fit)
@@ -234,3 +238,142 @@ class TestFit:
                                   shuffle=False))
             runs.append(m.flatten())
         assert np.array_equal(runs[0], runs[1])
+
+
+def plain_params(model):
+    return ref.PlainCnnParams(
+        kernels=[b.kernels[0] for b in model.blocks],
+        conv_biases=[b.biases[0] for b in model.blocks],
+        hidden_w=model.hidden.weights, hidden_b=model.hidden.bias,
+        out_w=model.output.weights, out_b=model.output.bias)
+
+
+def plain_cnn_sample(model):
+    """(forward, step) of one image through the reference plain CNN (Q=1)."""
+    params = plain_params(model)
+
+    def forward(x):
+        return ref.plain_cnn_forward(params, x)[0]
+
+    def step(x, y):
+        logits, cache = ref.plain_cnn_forward(params, x)
+        loss, grad_logits = ops.cross_entropy_with_softmax(logits, y)
+        got = ref.plain_cnn_backward(params, cache, grad_logits)
+        grads = np.zeros_like(model.flat)
+        view = Model.from_flat(model.config, grads)
+        for block, gk, gb in zip(view.blocks, got["kernels"], got["conv_biases"]):
+            block.kernels[0] = gk
+            block.biases[0] = gb
+        view.hidden.weights[...] = got["hidden_w"]
+        view.hidden.bias[...] = got["hidden_b"]
+        view.output.weights[...] = got["out_w"]
+        view.output.bias[...] = got["out_b"]
+        return loss, grads
+
+    return forward, step
+
+
+def single_image_sample(model):
+    """(forward, step) of one [C,H,W] image through model_forward/backward."""
+
+    def forward(x):
+        return model_forward(model, x)[0]
+
+    def step(x, y):
+        logits, cache = model_forward(model, x, train_mode=True)
+        loss, grad_logits = ops.cross_entropy_with_softmax(logits, y)
+        return loss, model_backward(model, cache, grad_logits)[0]
+
+    return forward, step
+
+
+def sample_loop_fit(model, sample, train_x, train_y, val_x, val_y, config):
+    """fit() written out one image at a time, for runs without LR cuts.
+
+    Returns the parameters after each epoch and each epoch's record.
+    """
+    forward, step = sample(model)
+    rng = np.random.default_rng(config.seed)
+    adam = AdamState.for_params(model.n_params)
+    snapshots, records = [], []
+    for epoch in range(config.max_epochs):
+        order = rng.permutation(len(train_x))
+        total = 0.0
+        for lo in range(0, len(order), config.batch_size):
+            batch = order[lo:lo + config.batch_size]
+            grads = np.zeros_like(model.flat)
+            batch_loss = 0.0
+            for i in batch:
+                loss, g = step(train_x[i], int(train_y[i]))
+                grads += g
+                batch_loss += loss
+            grads /= len(batch)
+            adam_step(model.flat, grads, adam, config.learning_rate)
+            total += batch_loss
+        val_total = 0.0
+        preds = []
+        for x, y in zip(val_x, val_y):
+            logits = forward(x)
+            val_total += ops.cross_entropy_with_softmax(logits, int(y))[0]
+            preds.append(int(np.argmax(logits)))
+        accuracy = float(np.mean(np.array(preds) == val_y))
+        snapshots.append(model.flatten())
+        records.append((epoch, total / len(order), val_total / len(val_y),
+                        accuracy, config.learning_rate, False))
+    return snapshots, records
+
+
+class TestBatchMajorEquivalence:
+    """Batch-major fit/evaluate give the bits of a loop over single images."""
+
+    @staticmethod
+    def samples(n, shape, seed):
+        r = np.random.default_rng(seed)
+        return [r.random(shape) for _ in range(n)], r.integers(0, 3, n)
+
+    # Images per pass: the whole batch, or fewer, so a batch of 4 takes two
+    # passes (2+2 or 3+1) that share one gradient buffer.
+    @pytest.mark.parametrize("per_pass", [None, 2, 3])
+    @pytest.mark.parametrize("q,sample", [(1, plain_cnn_sample),
+                                          (3, single_image_sample)])
+    def test_fit_matches_sample_loop(self, q, sample, per_pass, monkeypatch):
+        cfg = ModelConfig(q_order=q, input_shape=(1, 12, 14), block_filters=(3, 2),
+                          kernel_sizes=(3, 2), dense_units=5, classes=3)
+        if per_pass is not None:
+            monkeypatch.setattr(training, "_PASS_PIXELS", per_pass * 12 * 14)
+        train_x, train_y = self.samples(10, cfg.input_shape, 50)
+        val_x, val_y = self.samples(7, cfg.input_shape, 51)
+        config = TrainConfig(max_epochs=2, batch_size=4, seed=52)
+
+        loop_model = build_model(cfg, 53)
+        want_params, want_records = sample_loop_fit(
+            loop_model, sample, train_x, train_y, val_x, val_y, config)
+
+        model = build_model(cfg, 53)
+        params = []
+        res = fit(model, train_x, train_y, val_x, val_y, config,
+                  on_epoch=lambda r: params.append(model.flatten()))
+        assert [astuple(r) for r in res.history] == want_records
+        for got, want in zip(params, want_params, strict=True):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("per_pass", [1, 3, None])
+    def test_evaluate_does_not_depend_on_chunking(self, per_pass, monkeypatch):
+        cfg = ModelConfig(q_order=2, input_shape=(1, 12, 14), block_filters=(3, 2),
+                          kernel_sizes=(3, 2), dense_units=5, classes=3)
+        model = build_model(cfg, 54)
+        images, labels = self.samples(11, cfg.input_shape, 55)
+        if per_pass is not None:
+            monkeypatch.setattr(training, "_PASS_PIXELS", per_pass * 12 * 14)
+        loss, acc, preds = evaluate(model, images, labels)
+        # One image per call: each call's mean loss is that image's loss.
+        singles = [evaluate(model, [x], [y]) for x, y in zip(images, labels)]
+        total = 0.0
+        for one_loss, _, _ in singles:
+            total += one_loss
+        assert loss == total / 11
+        assert np.array_equal(preds, np.concatenate([p for _, _, p in singles]))
+        chunks = [evaluate(model, images[lo:lo + 4], labels[lo:lo + 4])[2]
+                  for lo in range(0, 11, 4)]
+        assert np.array_equal(preds, np.concatenate(chunks))
+        assert acc == float(np.mean(preds == labels))
