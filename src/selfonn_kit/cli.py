@@ -7,7 +7,8 @@ Grammar:
 
 Settings resolve with precedence flag > config file > built-in default.
 The config file is INI-style `key = value` under [run], [model], [train],
-[synth] and [bench] sections; the full schema is in the README.
+[synth], [eval] and [bench] sections. SETTINGS describes every setting once:
+its field, default, INI entry, flag, commands, parser, bound and help.
 
 Randomness: one root seed (--seed) fans out to independent streams via
 SeedSequence([root, stream, ...context]), with stream tags INIT=0 for
@@ -27,15 +28,16 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import field, make_dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .data import (CLASS_NAMES, ManifestError, PgmError, load_dataset,
                    load_pgm16, read_manifest, stratified_ordered_kfold,
                    make_cv_splits, write_fold_plan)
-from .model import (ConfigError, Model, ModelConfig, WeightFileError,
+from .model import (ConfigError, ModelConfig, WeightFileError,
                     build_model, load_weights, param_count, save_weights)
 from .metrics import (aggregate_folds, bench_inference, confusion,
                       format_confusion, format_metric_table, metric_report)
@@ -66,108 +68,142 @@ def derive_seed(root: int, *context: int) -> int:
     return int(np.random.SeedSequence([root, *context]).generate_state(1)[0])
 
 
-@dataclass
-class RunConfig:
-    """Fully resolved settings for one command invocation."""
+class Setting(NamedTuple):
+    """One run setting, described once for every place that needs it.
 
-    manifest: str | None = None
-    out: str = "runs"
-    seed: int = 0
-    k: int = 5
-    fold_selector: str = "all"
-    normalization: str = "image"      # "image" or "dataset" min/max
-    half_resolution: bool = False
-    q_order: int = 1
-    filters: tuple[int, ...] = (8, 8, 8)
-    kernels: tuple[int, ...] = (5, 3, 2)
-    dense_units: int = 32
-    input_height: int = 256
-    input_width: int = 320
-    epochs: int = 300
-    batch: int = 16
-    lr: float = 1e-3
-    per_class: int = 300
-    synth_height: int = 128
-    synth_width: int = 160
-    weights: str | None = None
-    bench_images: int = 3
-    bench_warmup: int = 1
-    bench_repeats: int = 3
+    The RunConfig field and its default, the INI entry ([section] key), the
+    command-line flag, the commands that take the flag (None: every
+    command), the parser turning the INI or flag text into a value, the
+    lower bound (None: no bound; for a tuple, on each entry) and the help.
+    """
 
-    def validate(self) -> None:
-        if not 1 <= self.q_order <= 10:
-            raise UsageError(f"q must lie in 1..10, got {self.q_order}")
-        if self.normalization not in ("image", "dataset"):
-            raise UsageError(
-                f"normalization must be 'image' or 'dataset', got "
-                f"{self.normalization!r}")
-        if self.k < 2:
-            raise UsageError(f"need at least 2 folds, got k={self.k}")
-        if self.fold_selector != "all":
-            try:
-                idx = int(self.fold_selector)
-            except ValueError:
-                raise UsageError(
-                    f"--folds takes 'all' or an index, got {self.fold_selector!r}")
-            if not 0 <= idx < self.k:
-                raise UsageError(f"fold {idx} outside 0..{self.k - 1}")
-        if len(self.filters) != len(self.kernels):
-            raise UsageError(
-                f"{len(self.filters)} filter counts vs {len(self.kernels)} "
-                "kernel sizes")
-        # The synth grid floor is SynthConfig's; a negative seed would only
-        # fail inside SeedSequence, after the output directory exists.
-        for name, value, least in (("seed", self.seed, 0),
-                                   ("epochs", self.epochs, 1),
-                                   ("batch", self.batch, 1),
-                                   ("per-class", self.per_class, 1),
-                                   ("height", self.synth_height, 8),
-                                   ("width", self.synth_width, 8),
-                                   ("bench-images", self.bench_images, 1),
-                                   ("runs", self.bench_repeats, 1),
-                                   ("warmup", self.bench_warmup, 0)):
-            if value < least:
-                raise UsageError(f"--{name} must be >= {least}, got {value}")
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise UsageError(f"--lr must be a positive number, got {self.lr}")
+    field: str
+    default: object
+    section: str
+    key: str
+    flag: str
+    commands: tuple[str, ...] | None
+    parse: Callable[[str], object]
+    least: int | None
+    help: str
 
 
-def _parse_int_tuple(text: str, what: str) -> tuple[int, ...]:
+def _parse_int_tuple(text: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(p.strip()) for p in text.split(",") if p.strip())
+        values = tuple(int(p) for p in text.split(",") if p.strip())
+        if values:
+            return values
     except ValueError:
-        raise UsageError(f"{what} must be comma-separated integers, got {text!r}")
-    if not values:
-        raise UsageError(f"{what} is empty")
-    return values
+        pass
+    raise ValueError(f"need comma-separated integers, got {text!r}")
 
 
-# (section, key) -> (RunConfig field, converter)
-_FILE_SCHEMA = {
-    ("run", "manifest"): ("manifest", str),
-    ("run", "out"): ("out", str),
-    ("run", "seed"): ("seed", int),
-    ("run", "k"): ("k", int),
-    ("run", "folds"): ("fold_selector", str),
-    ("run", "normalization"): ("normalization", str),
-    ("run", "half_resolution"): ("half_resolution", None),  # boolean
-    ("model", "q"): ("q_order", int),
-    ("model", "filters"): ("filters", lambda s: _parse_int_tuple(s, "filters")),
-    ("model", "kernels"): ("kernels", lambda s: _parse_int_tuple(s, "kernels")),
-    ("model", "dense"): ("dense_units", int),
-    ("model", "input_height"): ("input_height", int),
-    ("model", "input_width"): ("input_width", int),
-    ("train", "epochs"): ("epochs", int),
-    ("train", "batch"): ("batch", int),
-    ("train", "lr"): ("lr", float),
-    ("synth", "per_class"): ("per_class", int),
-    ("synth", "height"): ("synth_height", int),
-    ("synth", "width"): ("synth_width", int),
-    ("eval", "weights"): ("weights", str),
-    ("bench", "images"): ("bench_images", int),
-    ("bench", "warmup"): ("bench_warmup", int),
-    ("bench", "repeats"): ("bench_repeats", int),
-}
+def _parse_bool(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
+
+
+def _parse_normalization(text: str) -> str:
+    if text not in ("image", "dataset"):
+        raise ValueError(f"must be 'image' or 'dataset', got {text!r}")
+    return text
+
+
+# The synth grid floor of 8 is SynthConfig's; a negative seed would only
+# fail inside SeedSequence, after the output directory exists.
+SETTINGS = (
+    Setting("manifest", None, "run", "manifest", "--manifest", None, str,
+            None, "dataset manifest"),
+    Setting("out", "runs", "run", "out", "--out", None, str, None,
+            "artifact directory"),
+    Setting("seed", 0, "run", "seed", "--seed", None, int, 0,
+            "root random seed"),
+    Setting("k", 5, "run", "k", "--k", None, int, 2, "number of folds"),
+    Setting("fold_selector", "all", "run", "folds", "--folds", None, str,
+            None, "fold selection: all or an index"),
+    Setting("normalization", "image", "run", "normalization",
+            "--normalization", None, _parse_normalization, None,
+            "min/max scope for pixel scaling: image or dataset"),
+    Setting("half_resolution", False, "run", "half_resolution", "--half",
+            None, _parse_bool, None, "halve image resolution when loading"),
+    Setting("q_order", 1, "model", "q", "--q", None, int, None,
+            "polynomial order Q, 1..10"),
+    Setting("filters", (8, 8, 8), "model", "filters", "--filters", None,
+            _parse_int_tuple, 1, "filters per block, comma-separated"),
+    Setting("kernels", (5, 3, 2), "model", "kernels", "--kernels", None,
+            _parse_int_tuple, 1, "kernel size per block, comma-separated"),
+    Setting("dense_units", 32, "model", "dense", "--dense", None, int, 1,
+            "hidden dense units"),
+    Setting("input_height", 256, "model", "input_height", "--input-height",
+            None, int, None, "input rows when no data is loaded"),
+    Setting("input_width", 320, "model", "input_width", "--input-width",
+            None, int, None, "input columns when no data is loaded"),
+    Setting("epochs", 300, "train", "epochs", "--epochs", None, int, 1,
+            "epoch budget"),
+    Setting("batch", 16, "train", "batch", "--batch", None, int, 1,
+            "batch size"),
+    Setting("lr", 1e-3, "train", "lr", "--lr", None, float, None,
+            "initial learning rate"),
+    Setting("per_class", 300, "synth", "per_class", "--per-class",
+            ("synth",), int, 1, "images per class"),
+    Setting("synth_height", 128, "synth", "height", "--height", ("synth",),
+            int, 8, "generated image rows"),
+    Setting("synth_width", 160, "synth", "width", "--width", ("synth",),
+            int, 8, "generated image columns"),
+    Setting("weights", None, "eval", "weights", "--weights", ("eval",), str,
+            None, "weight file to load"),
+    Setting("bench_images", 3, "bench", "images", "--bench-images",
+            ("bench",), int, 1, "random images per timing pass"),
+    Setting("bench_warmup", 1, "bench", "warmup", "--warmup", ("bench",),
+            int, 0, "untimed warmup passes"),
+    Setting("bench_repeats", 3, "bench", "repeats", "--runs", ("bench",),
+            int, 1, "timed passes"),
+)
+
+
+def _validate(cfg) -> None:
+    for s in SETTINGS:
+        if s.least is None:
+            continue
+        value = getattr(cfg, s.field)
+        for v in value if isinstance(value, tuple) else (value,):
+            if v < s.least:
+                raise UsageError(f"{s.flag} must be >= {s.least}, got {v}")
+    if not 1 <= cfg.q_order <= 10:
+        raise UsageError(f"q must lie in 1..10, got {cfg.q_order}")
+    if cfg.fold_selector != "all":
+        try:
+            idx = int(cfg.fold_selector)
+        except ValueError:
+            raise UsageError(
+                f"--folds takes 'all' or an index, got {cfg.fold_selector!r}")
+        if not 0 <= idx < cfg.k:
+            raise UsageError(f"fold {idx} outside 0..{cfg.k - 1}")
+    if len(cfg.filters) != len(cfg.kernels):
+        raise UsageError(
+            f"{len(cfg.filters)} filter counts vs {len(cfg.kernels)} "
+            "kernel sizes")
+    if not (math.isfinite(cfg.lr) and cfg.lr > 0):
+        raise UsageError(f"--lr must be a positive number, got {cfg.lr}")
+
+
+RunConfig = make_dataclass(
+    "RunConfig",
+    [(s.field, object, field(default=s.default)) for s in SETTINGS]
+    # the fields a config file or a flag set, as opposed to defaults
+    + [("given", frozenset, field(default=frozenset()))],
+    namespace={"__doc__": "Fully resolved settings for one command "
+                          "invocation, one field per SETTINGS row.",
+               "validate": _validate})
+
+
+def _convert(s: Setting, text: str, where: str) -> object:
+    try:
+        return s.parse(text)
+    except ValueError as exc:
+        raise UsageError(f"bad value for {where}: {exc}") from exc
 
 
 def read_config_file(path) -> dict[str, object]:
@@ -180,68 +216,27 @@ def read_config_file(path) -> dict[str, object]:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     except configparser.Error as exc:
         raise UsageError(f"malformed config file {path}: {exc}") from exc
+    entries = {(s.section, s.key): s for s in SETTINGS}
     overrides: dict[str, object] = {}
-    known = {f.name for f in fields(RunConfig)}
     for section in parser.sections():
-        for key in parser[section]:
-            field_conv = _FILE_SCHEMA.get((section, key))
-            if field_conv is None:
+        for key, text in parser[section].items():
+            s = entries.get((section, key))
+            if s is None:
                 raise UsageError(
                     f"unknown config entry [{section}] {key} in {path}")
-            field, conv = field_conv
-            assert field in known
-            raw = parser[section][key]
-            try:
-                if conv is None:
-                    overrides[field] = parser[section].getboolean(key)
-                else:
-                    overrides[field] = conv(raw)
-            except (ValueError, UsageError) as exc:
-                raise UsageError(
-                    f"bad value for [{section}] {key} in {path}: {exc}") from exc
+            overrides[s.field] = _convert(s, text,
+                                          f"[{section}] {key} in {path}")
     return overrides
-
-
-# argparse dest -> RunConfig field; values arrive already converted
-_FLAG_FIELDS = {
-    "manifest": "manifest",
-    "out": "out",
-    "seed": "seed",
-    "k": "k",
-    "folds": "fold_selector",
-    "normalization": "normalization",
-    "half": "half_resolution",
-    "q": "q_order",
-    "filters": "filters",
-    "kernels": "kernels",
-    "dense": "dense_units",
-    "input_height": "input_height",
-    "input_width": "input_width",
-    "epochs": "epochs",
-    "batch": "batch",
-    "lr": "lr",
-    "per_class": "per_class",
-    "height": "synth_height",
-    "width": "synth_width",
-    "weights": "weights",
-    "bench_images": "bench_images",
-    "warmup": "bench_warmup",
-    "runs": "bench_repeats",
-}
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, then the config file, then explicit flags."""
-    cfg = RunConfig()
-    if args.config:
-        for field, value in read_config_file(args.config).items():
-            setattr(cfg, field, value)
-    for dest, field in _FLAG_FIELDS.items():
-        value = getattr(args, dest, None)
-        if value is not None:
-            if dest in ("filters", "kernels"):
-                value = _parse_int_tuple(value, dest)
-            setattr(cfg, field, value)
+    values = read_config_file(args.config) if args.config else {}
+    for s in SETTINGS:
+        text = getattr(args, s.field, None)
+        if text is not None:
+            values[s.field] = _convert(s, text, s.flag)
+    cfg = RunConfig(**values, given=frozenset(values))
     cfg.validate()
     return cfg
 
@@ -252,61 +247,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--config", metavar="FILE", help="INI settings file")
-    common.add_argument("--manifest", metavar="PATH", help="dataset manifest")
-    common.add_argument("--out", metavar="DIR", help="artifact directory")
-    common.add_argument("--seed", type=int, help="root random seed")
-    common.add_argument("--q", type=int, help="polynomial order Q")
-    common.add_argument("--k", type=int, help="number of folds")
-    common.add_argument("--folds", metavar="all|i", help="fold selection")
-    common.add_argument("--epochs", type=int, help="epoch budget")
-    common.add_argument("--batch", type=int, help="batch size")
-    common.add_argument("--lr", type=float, help="initial learning rate")
-    common.add_argument("--normalization", choices=("image", "dataset"),
-                        help="min/max scope for pixel scaling")
-    common.add_argument("--half", action="store_const", const=True,
-                        help="halve image resolution when loading")
-    common.add_argument("--filters", metavar="A,B,C", help="filters per block")
-    common.add_argument("--kernels", metavar="A,B,C", help="kernel size per block")
-    common.add_argument("--dense", type=int, help="hidden dense units")
-    common.add_argument("--input-height", dest="input_height", type=int,
-                        help="input rows when no data is loaded")
-    common.add_argument("--input-width", dest="input_width", type=int,
-                        help="input columns when no data is loaded")
-
     parser = _Parser(prog="selfonn-kit",
                      description="Thermal fault diagnosis with polynomial "
                                  "convolutional networks")
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    p = sub.add_parser("synth", parents=[common],
-                       help="generate the synthetic thermal corpus")
-    p.add_argument("--per-class", dest="per_class", type=int,
-                   help="images per class")
-    p.add_argument("--height", type=int, help="generated image rows")
-    p.add_argument("--width", type=int, help="generated image columns")
-
-    sub.add_parser("split", parents=[common],
-                   help="plan stratified folds over a manifest")
-    sub.add_parser("train", parents=[common],
-                   help="train one cross-validation round")
-    sub.add_parser("crossval", parents=[common],
-                   help="train and aggregate every round")
-
-    p = sub.add_parser("eval", parents=[common],
-                       help="evaluate saved weights on a fold or manifest")
-    p.add_argument("--weights", metavar="PATH", help="weight file to load")
-
-    sub.add_parser("params", parents=[common],
-                   help="print trainable-parameter counts for Q=1..5")
-
-    p = sub.add_parser("bench", parents=[common],
-                       help="time inference across polynomial orders")
-    p.add_argument("--bench-images", dest="bench_images", type=int,
-                   help="random images per timing pass")
-    p.add_argument("--warmup", type=int, help="untimed warmup passes")
-    p.add_argument("--runs", type=int, help="timed passes")
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.__doc__)
+        p.add_argument("--config", metavar="FILE", help="INI settings file")
+        for s in SETTINGS:
+            if s.commands is None or name in s.commands:
+                # a bare --half reads like "yes" in the INI file
+                kind = ({"action": "store_const", "const": "yes"}
+                        if s.parse is _parse_bool
+                        else {"metavar": s.key.upper()})
+                p.add_argument(s.flag, dest=s.field, help=s.help, **kind)
     return parser
 
 
@@ -367,7 +321,8 @@ def write_epoch_log(history, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def cmd_synth(cfg: RunConfig, args) -> int:
+def cmd_synth(cfg: RunConfig) -> int:
+    """generate the synthetic thermal corpus"""
     out = _out_dir(cfg)
     sc = SynthConfig(per_class=cfg.per_class, height=cfg.synth_height,
                      width=cfg.synth_width,
@@ -396,7 +351,8 @@ def cmd_synth(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_split(cfg: RunConfig, args) -> int:
+def cmd_split(cfg: RunConfig) -> int:
+    """plan stratified folds over a manifest"""
     records = read_manifest(_require_manifest(cfg))
     labels = [r.label for r in records]
     plan = stratified_ordered_kfold(labels, cfg.k)
@@ -460,7 +416,8 @@ def _load_split_data(cfg: RunConfig):
     return dataset, make_cv_splits(plan), plan
 
 
-def cmd_train(cfg: RunConfig, args) -> int:
+def cmd_train(cfg: RunConfig) -> int:
+    """train one cross-validation round"""
     dataset, splits, _ = _load_split_data(cfg)
     fold = 0 if cfg.fold_selector == "all" else int(cfg.fold_selector)
     out = _out_dir(cfg)
@@ -471,7 +428,8 @@ def cmd_train(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_crossval(cfg: RunConfig, args) -> int:
+def cmd_crossval(cfg: RunConfig) -> int:
+    """train and aggregate every round"""
     dataset, splits, _ = _load_split_data(cfg)
     out = _out_dir(cfg)
     reports = []
@@ -497,7 +455,8 @@ def cmd_crossval(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_eval(cfg: RunConfig, args) -> int:
+def cmd_eval(cfg: RunConfig) -> int:
+    """evaluate saved weights on a fold or manifest"""
     if not cfg.weights:
         raise UsageError("eval needs --weights (or [eval] weights)")
     model = load_weights(cfg.weights)
@@ -523,7 +482,8 @@ def cmd_eval(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_params(cfg: RunConfig, args) -> int:
+def cmd_params(cfg: RunConfig) -> int:
+    """print trainable-parameter counts for Q=1..5"""
     shape = (1, cfg.input_height, cfg.input_width)
     print("q  parameters")
     for q in range(1, 6):
@@ -532,21 +492,24 @@ def cmd_params(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(cfg: RunConfig, args) -> int:
+def cmd_bench(cfg: RunConfig) -> int:
+    """time inference across polynomial orders"""
     shape = (1, cfg.input_height, cfg.input_width)
     rng = np.random.default_rng(derive_seed(cfg.seed, STREAM_BENCH))
     images = [rng.random(shape) for _ in range(cfg.bench_images)]
-    qs = [args.q] if getattr(args, "q", None) else [1, 2, 3, 4, 5]
+    qs = [cfg.q_order] if "q_order" in cfg.given else [1, 2, 3, 4, 5]
     print(f"{cfg.bench_images} images per pass, {cfg.bench_warmup} warmup, "
           f"{cfg.bench_repeats} timed passes")
     print("q  mean_ms  std_ms  min_ms  max_ms")
-    for q in qs:
-        model = build_model(_model_config(cfg, shape, q_order=q),
-                            derive_seed(cfg.seed, STREAM_INIT, q, 0))
-        rep = bench_inference(model, images, warmup=cfg.bench_warmup,
-                              repeats=cfg.bench_repeats)
-        mean, std, lo, hi = (1e3 * v for v in rep.per_image_stats())
-        print(f"{q}  {mean:.3f}  {std:.3f}  {lo:.3f}  {hi:.3f}")
+    models = [build_model(_model_config(cfg, shape, q_order=q),
+                          derive_seed(cfg.seed, STREAM_INIT, q, 0))
+              for q in qs]
+    per_image_ms = 1e3 * bench_inference(models, images,
+                                         warmup=cfg.bench_warmup,
+                                         repeats=cfg.bench_repeats)
+    for q, ms in zip(qs, per_image_ms):
+        print(f"{q}  {ms.mean():.3f}  {ms.std():.3f}  {ms.min():.3f}  "
+              f"{ms.max():.3f}")
     return EXIT_OK
 
 
@@ -579,7 +542,7 @@ def main(argv=None) -> int:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
         cfg = build_run_config(args)
-        return COMMANDS[args.command](cfg, args)
+        return COMMANDS[args.command](cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -204,15 +204,15 @@ class FoldPlan:
         return sum(len(f) for f in self.folds)
 
 
-def stratified_ordered_kfold(labels, k: int,
-                             extras_offsets: dict[int, int] | None = None) -> FoldPlan:
+def stratified_ordered_kfold(labels, k: int) -> FoldPlan:
     """Split by class into k contiguous, order-preserving segments.
 
     Each class contributes floor(n/k) samples to every fold; the n mod k
-    leftover samples go to folds offset, offset+1, ... (mod k). By default
-    the offset for a class is the total size of all earlier classes mod k,
-    which staggers the enlarged folds across classes instead of always
-    favoring fold 0. `extras_offsets` overrides the offset per class id.
+    leftover samples go to folds offset, offset+1, ... (mod k), where the
+    offset for a class is the total size of all earlier classes mod k. This
+    staggers the enlarged folds across classes instead of always favoring
+    fold 0: the leftovers of all classes walk the folds as one run, so with
+    at least k samples no fold is left empty.
     """
     labels = np.asarray(labels)
     if k < 2:
@@ -226,16 +226,12 @@ def stratified_ordered_kfold(labels, k: int,
         n = len(idx)
         base, extra = divmod(n, k)
         offset = seen_before % k
-        if extras_offsets is not None and int(cls) in extras_offsets:
-            offset = extras_offsets[int(cls)] % k
         sizes = [base + (1 if (f - offset) % k < extra else 0) for f in range(k)]
         cursor = 0
         for f in range(k):
             folds[f].extend(int(i) for i in idx[cursor:cursor + sizes[f]])
             cursor += sizes[f]
         seen_before += n
-    if any(not f for f in folds):
-        raise ValueError(f"{k} folds over {len(labels)} samples left a fold empty")
     return FoldPlan(tuple(tuple(f) for f in folds))
 
 
@@ -266,16 +262,6 @@ def make_cv_splits(plan: FoldPlan) -> list[CvSplit]:
 def write_fold_plan(plan: FoldPlan, path) -> None:
     doc = {"k": plan.k, "folds": [list(f) for f in plan.folds]}
     Path(path).write_text(json.dumps(doc, indent=1) + "\n")
-
-
-def read_fold_plan(path) -> FoldPlan:
-    doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict) or "folds" not in doc:
-        raise ValueError(f"{path} is not a fold-plan file")
-    folds = tuple(tuple(int(i) for i in f) for f in doc["folds"])
-    if doc.get("k") != len(folds):
-        raise ValueError(f"{path}: declared k={doc.get('k')} but holds {len(folds)} folds")
-    return FoldPlan(folds)
 
 
 @dataclass

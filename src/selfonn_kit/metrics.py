@@ -146,15 +146,8 @@ class FoldAggregate:
     pooled_accuracy: float
 
 
-def _spread(values: list[float], sample_std: bool) -> float:
-    if len(values) < 2:
-        return 0.0
-    return float(np.std(values, ddof=1 if sample_std else 0))
-
-
-def aggregate_folds(reports: list[MetricReport],
-                    sample_std: bool = False) -> FoldAggregate:
-    """Combine per-fold reports; std is population unless `sample_std`."""
+def aggregate_folds(reports: list[MetricReport]) -> FoldAggregate:
+    """Combine per-fold reports; the spreads are population std."""
     if not reports:
         raise ValueError("no fold reports to aggregate")
     sizes = {r.matrix.n_classes for r in reports}
@@ -166,55 +159,40 @@ def aggregate_folds(reports: list[MetricReport],
     return FoldAggregate(
         n_folds=len(reports),
         accuracy_mean=float(np.mean(accs)),
-        accuracy_std=_spread(accs, sample_std),
+        accuracy_std=float(np.std(accs)),
         macro_f1_mean=float(np.mean(f1s)),
-        macro_f1_std=_spread(f1s, sample_std),
+        macro_f1_std=float(np.std(f1s)),
         pooled=pooled,
         pooled_accuracy=int(np.trace(pooled.counts)) / pooled.total,
     )
 
 
-@dataclass(frozen=True)
-class BenchReport:
-    n_images: int
-    warmup_passes: int
-    timed_passes: int
-    pass_seconds: tuple[float, ...]
-    seconds_per_image: float
-    images_per_second: float
+def bench_inference(models: list[Model], images, warmup: int = 1,
+                    repeats: int = 3) -> np.ndarray:
+    """Per-image forward seconds of each model, timed round-robin.
 
-    def per_image_stats(self) -> tuple[float, float, float, float]:
-        """(mean, std, min, max) per-image seconds across the timed passes."""
-        per = np.asarray(self.pass_seconds) / self.n_images
-        return (float(per.mean()), float(per.std()),
-                float(per.min()), float(per.max()))
-
-
-def bench_inference(model: Model, images, warmup: int = 2,
-                    repeats: int = 5) -> BenchReport:
-    """Time full forward passes over `images`; warmup passes are discarded."""
-    if len(images) == 0:
+    Each model first runs `warmup` untimed passes over `images`. Then each
+    of `repeats` rounds times one pass of every model in turn, so a slow
+    system phase slows every model alike instead of whichever happened to
+    be running. Returns a (models, repeats) array: seconds per image of each
+    timed pass.
+    """
+    if len(models) == 0 or len(images) == 0:
         raise ValueError("nothing to benchmark")
     if repeats < 1 or warmup < 0:
         raise ValueError(f"bad warmup={warmup} repeats={repeats}")
-    for _ in range(warmup):
-        for x in images:
-            model_forward(model, x)
-    passes = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for x in images:
-            model_forward(model, x)
-        passes.append(time.perf_counter() - start)
-    mean_pass = float(np.mean(passes))
-    return BenchReport(
-        n_images=len(images),
-        warmup_passes=warmup,
-        timed_passes=repeats,
-        pass_seconds=tuple(passes),
-        seconds_per_image=mean_pass / len(images),
-        images_per_second=len(images) / mean_pass,
-    )
+    for model in models:
+        for _ in range(warmup):
+            for x in images:
+                model_forward(model, x)
+    seconds = np.empty((len(models), repeats))
+    for r in range(repeats):
+        for m, model in enumerate(models):
+            start = time.perf_counter()
+            for x in images:
+                model_forward(model, x)
+            seconds[m, r] = time.perf_counter() - start
+    return seconds / len(images)
 
 
 def format_confusion(matrix: ConfusionMatrix,

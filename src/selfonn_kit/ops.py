@@ -6,7 +6,7 @@ through, so a single image ``[C, H, W]`` and a batch ``[N, C, H, W]`` run
 through the same code. Kernel banks are ``[Cout, Cin, Kh, Kw]``.
 Convolution is the unpadded cross-correlation (no kernel flip); its two
 adjoints, 2x2 max pooling (whose backward pass re-derives the max positions
-from the pre-pool map), the dense affine map, tanh, softmax and
+from the pre-pool map), the dense affine map, tanh and softmax
 cross-entropy are all pure functions with hand-derived backward passes. No
 autograd graph.
 
@@ -26,9 +26,8 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-# Aliases for readability; everything is plain numpy underneath.
+# Alias for readability; everything is plain numpy underneath.
 Tensor = np.ndarray
-Shape = tuple[int, ...]
 
 # Patch-matrix entries per forward-convolution band: 512 KiB of float64,
 # which stays in L2 cache between the im2col copy and the GEMM reading it.
@@ -51,20 +50,6 @@ class ConsistencyError(RuntimeError):
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise DimensionError(msg)
-
-
-def as_tensor(data, shape: Shape | None = None) -> Tensor:
-    """Coerce external input to a float64 tensor, rejecting NaN/Inf.
-
-    Internal ops skip this check; it guards the boundaries (file loads,
-    CLI inputs) where non-finite values must not enter the pipeline.
-    """
-    arr = np.asarray(data, dtype=np.float64)
-    if shape is not None and tuple(arr.shape) != tuple(shape):
-        raise DimensionError(f"expected shape {tuple(shape)}, got {tuple(arr.shape)}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("tensor contains non-finite values")
-    return arr
 
 
 def _im2col(x: Tensor, kh: int, kw: int) -> Tensor:
@@ -167,20 +152,6 @@ def conv2d_backward_input(kernels: Tensor, grad_out: Tensor) -> Tensor:
     return grad_x
 
 
-def elementwise_pow(t: Tensor, q: int) -> Tensor:
-    """t**q by repeated multiplication; q must be a positive integer.
-
-    q=0 is rejected: the polynomial expansion starts at the linear term,
-    constant offsets are carried by biases instead.
-    """
-    if q < 1:
-        raise ValueError(f"power must be a positive integer, got {q}")
-    out = t.copy()
-    for _ in range(q - 1):
-        out = out * t
-    return out
-
-
 def tanh_forward(t: Tensor, out: Tensor | None = None) -> Tensor:
     """Elementwise tanh; pass out=t to overwrite the input in place."""
     return np.tanh(t, out=out)
@@ -281,15 +252,6 @@ def dense_backward(x: Tensor, weights: Tensor,
     grad_w = grad_out[..., :, None] * x[..., None, :]
     grad_b = grad_out.copy()
     return grad_x, grad_w, grad_b
-
-
-def softmax(logits: Tensor) -> Tensor:
-    """Max-shifted two-pass softmax over a 1-D logit vector (K >= 2)."""
-    _require(logits.ndim == 1 and logits.shape[0] >= 2,
-             f"need at least two logits, got shape {tuple(logits.shape)}")
-    z = logits - logits.max()
-    e = np.exp(z)
-    return e / e.sum()
 
 
 def cross_entropy_with_softmax(logits: Tensor, target_class) -> tuple[float | Tensor, Tensor]:

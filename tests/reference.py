@@ -80,6 +80,21 @@ def maxpool2x2_loops(x):
     return pooled, indices
 
 
+def elementwise_pow(t, q):
+    """t**q by repeated multiplication; q must be a positive integer.
+
+    The power-stack oracle: q=0 is rejected because the polynomial
+    expansion starts at the linear term, constant offsets are carried by
+    biases instead.
+    """
+    if q < 1:
+        raise ValueError(f"power must be a positive integer, got {q}")
+    out = t.copy()
+    for _ in range(q - 1):
+        out = out * t
+    return out
+
+
 def central_difference(f, buf, index, h=1e-5):
     """Two-sided difference of scalar f() under in-place mutation of buf."""
     old = buf[index]

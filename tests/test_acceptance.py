@@ -394,18 +394,12 @@ def test_criterion_10_benchmark_ordering(capsys):
     images = [rng.random((1, 256, 320)) for _ in range(2)]
     models = [sm.build_model(sm.ModelConfig(q_order=q), rng_seed=q)
               for q in range(1, 6)]
-    # settle one-time process costs (BLAS threads, allocator growth) so the
-    # first model timed is not charged for them
-    for model in models:
-        sm.model_forward(model, images[0])
-    # interleave the orders round-robin so slow system phases hit every
-    # order equally instead of inflating whichever was timed during them
-    pass_means = [[] for _ in models]
-    for round_idx in range(12):
-        for slot, model in enumerate(models):
-            report = met.bench_inference(model, images, warmup=0, repeats=2)
-            pass_means[slot].append(report.per_image_stats()[0])
-    means = [float(np.mean(series)) for series in pass_means]
+    # one untimed pass per order settles one-time process costs (BLAS
+    # threads, allocator growth); then 24 rounds time one pass of every
+    # order in turn, so slow system phases hit every order equally instead
+    # of inflating whichever was timed during them
+    per_image = met.bench_inference(models, images, warmup=1, repeats=24)
+    means = [float(series.mean()) for series in per_image]
     non_decreasing = all(means[i] <= means[i + 1] for i in range(4))
     elapsed = time.perf_counter() - start
     ok = non_decreasing and elapsed < 300.0

@@ -1,6 +1,8 @@
 import logging
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,18 @@ def corpus(tmp_path_factory):
                      "--height", "16", "--width", "16", "--seed", "5"])
     assert code == cli.EXIT_OK
     return root / "manifest.tsv"
+
+
+# Every subcommand's flags as the parser listed them before the settings
+# table existed; the table must reproduce them exactly.
+COMMON_FLAGS = ["--help", "--config", "--manifest", "--out", "--seed", "--q",
+                "--k", "--folds", "--epochs", "--batch", "--lr",
+                "--normalization", "--half", "--filters", "--kernels",
+                "--dense", "--input-height", "--input-width"]
+HELP_FLAGS = {"synth": ["--per-class", "--height", "--width"],
+              "split": [], "train": [], "crossval": [],
+              "eval": ["--weights"], "params": [],
+              "bench": ["--bench-images", "--warmup", "--runs"]}
 
 
 def run(argv):
@@ -111,6 +125,22 @@ class TestConfigResolution:
             cli.build_run_config(self.parse(
                 ["train", "--filters", "4,4", "--kernels", "3"]))
 
+    def test_readme_config_sets_every_setting(self, tmp_path):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        ini = tmp_path / "readme.ini"
+        ini.write_text(block)
+        assert set(cli.read_config_file(ini)) == {s.field for s in cli.SETTINGS}
+        cli.build_run_config(self.parse(["train", "--config", str(ini)]))
+
+    @pytest.mark.parametrize("command", HELP_FLAGS)
+    def test_help_lists_each_flag(self, command, capsys):
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        listed = re.findall(r"^  (?:-h, )?(--[a-z-]+)", capsys.readouterr().out,
+                            flags=re.MULTILINE)
+        assert sorted(listed) == sorted(COMMON_FLAGS + HELP_FLAGS[command])
+
 
 class TestExitCodes:
     def test_no_command(self, capsys):
@@ -150,7 +180,9 @@ class TestExitCodes:
         ["train", "--lr", "-1"], ["train", "--lr", "nan"],
         ["synth", "--per-class", "0"], ["synth", "--seed", "-1"],
         ["synth", "--height", "4"], ["bench", "--runs", "0"],
-        ["bench", "--bench-images", "0"], ["bench", "--warmup", "-1"]],
+        ["bench", "--bench-images", "0"], ["bench", "--warmup", "-1"],
+        ["train", "--dense", "0"], ["train", "--filters", "4,0,4"],
+        ["train", "--kernels", "5,0,2"]],
         ids=lambda argv: f"{argv[0]}{argv[1]}={argv[2]}")
     def test_bad_setting_rejected_before_data(self, argv, tmp_path, capsys):
         # The manifest does not exist: reading it would exit with EXIT_IO.
@@ -333,6 +365,16 @@ class TestBenchCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert [line.split()[0] for line in lines[2:]] == ["1", "2", "3",
                                                            "4", "5"]
+
+    def test_config_file_q_restricts_sweep(self, tmp_path, capsys):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[model]\nq = 2\n")
+        assert run(["bench", "--config", ini, "--input-height", "10",
+                    "--input-width", "10", "--filters", "1", "--kernels", "2",
+                    "--dense", "2", "--bench-images", "1", "--warmup", "0",
+                    "--runs", "1"]) == cli.EXIT_OK
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert [line.split()[0] for line in lines[2:]] == ["2"]
 
 
 class TestLogging:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -198,13 +200,6 @@ class TestFolds:
         assert [list(f) for f in plan.folds] == [[0, 1], [2, 3], [4, 5],
                                                  [6, 7], [8, 9]]
 
-    def test_extras_offset_override(self):
-        labels = [0] * 7
-        default = d.stratified_ordered_kfold(labels, 3)
-        assert [len(f) for f in default.folds] == [3, 2, 2]
-        shifted = d.stratified_ordered_kfold(labels, 3, extras_offsets={0: 2})
-        assert [len(f) for f in shifted.folds] == [2, 2, 3]
-
     def test_interleaved_labels_still_stratify(self):
         labels = [0, 1] * 10
         plan = d.stratified_ordered_kfold(labels, 5)
@@ -218,11 +213,17 @@ class TestFolds:
         with pytest.raises(ValueError):
             d.stratified_ordered_kfold([0] * 10, 1)
 
-    def test_empty_fold_rejected(self):
-        # forcing both classes onto the same folds starves the others
-        with pytest.raises(ValueError, match="empty"):
-            d.stratified_ordered_kfold([0, 0, 1, 1], 4,
-                                       extras_offsets={0: 0, 1: 0})
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 3), min_size=2, max_size=40),
+           st.integers(2, 8))
+    def test_no_fold_left_empty(self, labels, k):
+        # the leftovers of all classes walk the folds as one staggered run,
+        # so any k samples, whatever their classes, reach every fold
+        if len(labels) < k:
+            return
+        plan = d.stratified_ordered_kfold(labels, k)
+        assert all(plan.folds)
+        assert sorted(i for f in plan.folds for i in f) == list(range(len(labels)))
 
 
 class TestCvSplits:
@@ -247,19 +248,8 @@ class TestFoldPlanFile:
         plan = d.stratified_ordered_kfold([0] * 9 + [1] * 6, 3)
         path = tmp_path / "plan.json"
         d.write_fold_plan(plan, path)
-        assert d.read_fold_plan(path) == plan
-
-    def test_corrupt_k(self, tmp_path):
-        path = tmp_path / "plan.json"
-        path.write_text('{"k": 3, "folds": [[0], [1]]}')
-        with pytest.raises(ValueError, match="k=3"):
-            d.read_fold_plan(path)
-
-    def test_wrong_document(self, tmp_path):
-        path = tmp_path / "plan.json"
-        path.write_text("[1, 2, 3]")
-        with pytest.raises(ValueError):
-            d.read_fold_plan(path)
+        doc = json.loads(path.read_text())
+        assert doc == {"k": 3, "folds": [list(f) for f in plan.folds]}
 
 
 class TestLoadDataset:

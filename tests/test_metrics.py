@@ -131,11 +131,6 @@ class TestAggregate:
         assert agg.accuracy_mean == pytest.approx(np.mean(accs))
         assert agg.accuracy_std == pytest.approx(np.std(accs))
 
-    def test_sample_std_option(self):
-        agg = m.aggregate_folds(self.make_reports(), sample_std=True)
-        accs = [9 / 10, 9 / 10, 8 / 10]
-        assert agg.accuracy_std == pytest.approx(np.std(accs, ddof=1))
-
     def test_single_fold_spread_is_zero(self):
         agg = m.aggregate_folds([m.metric_report(cm([[4, 1], [0, 5]]))])
         assert agg.accuracy_std == 0.0
@@ -160,37 +155,41 @@ class TestAggregate:
 
 
 class TestBench:
-    def tiny_model(self):
+    def tiny_model(self, seed=0):
         config = ModelConfig(q_order=1, input_shape=(1, 12, 12),
                              block_filters=(2,), kernel_sizes=(3,),
                              dense_units=3, classes=2)
-        return build_model(config, rng_seed=0)
+        return build_model(config, rng_seed=seed)
 
     def test_report_fields_consistent(self):
-        model = self.tiny_model()
+        models = [self.tiny_model(0), self.tiny_model(1)]
         images = [np.zeros((1, 12, 12)) for _ in range(3)]
-        report = m.bench_inference(model, images, warmup=1, repeats=4)
-        assert report.n_images == 3
-        assert report.warmup_passes == 1
-        assert report.timed_passes == 4
-        assert len(report.pass_seconds) == 4
-        assert all(p > 0 for p in report.pass_seconds)
-        mean_pass = np.mean(report.pass_seconds)
-        assert report.seconds_per_image == pytest.approx(mean_pass / 3)
-        assert report.images_per_second == pytest.approx(3 / mean_pass)
-        mean, std, lo, hi = report.per_image_stats()
-        assert lo <= mean <= hi
-        assert std >= 0
+        per_image = m.bench_inference(models, images, warmup=1, repeats=4)
+        assert per_image.shape == (2, 4)
+        assert np.all(per_image > 0)
+
+    def test_rounds_interleave_models(self, monkeypatch):
+        models = [self.tiny_model(0), self.tiny_model(1), self.tiny_model(2)]
+        images = [np.zeros((1, 12, 12)) for _ in range(2)]
+        slot = {id(model): i for i, model in enumerate(models)}
+        calls = []
+        monkeypatch.setattr(m, "model_forward",
+                            lambda model, x: calls.append(slot[id(model)]))
+        m.bench_inference(models, images, warmup=1, repeats=2)
+        # the warmup pass, then two rounds of one pass per model in turn
+        assert calls == [0, 0, 1, 1, 2, 2] * 3
 
     def test_argument_validation(self):
         model = self.tiny_model()
         images = [np.zeros((1, 12, 12))]
         with pytest.raises(ValueError):
-            m.bench_inference(model, [], repeats=1)
+            m.bench_inference([model], [], repeats=1)
         with pytest.raises(ValueError):
-            m.bench_inference(model, images, repeats=0)
+            m.bench_inference([], images, repeats=1)
         with pytest.raises(ValueError):
-            m.bench_inference(model, images, warmup=-1)
+            m.bench_inference([model], images, repeats=0)
+        with pytest.raises(ValueError):
+            m.bench_inference([model], images, warmup=-1)
 
 
 class TestFormatting:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from selfonn_kit import model as sm
 from selfonn_kit import ops
-from reference import central_difference, relative_error
+from reference import central_difference, elementwise_pow, relative_error
 
 FULL = sm.ModelConfig()
 REDUCED = sm.ModelConfig(q_order=2, input_shape=(1, 16, 16),
@@ -136,7 +136,7 @@ class TestGenerativeLayer:
                                       r.standard_normal((q, 2)))
         x = r.uniform(-1, 1, size=(2, 5, 6))
         got = sm.selfonn_forward(layer, x)
-        want = sum(ops.conv2d_valid(ops.elementwise_pow(x, qi + 1),
+        want = sum(ops.conv2d_valid(elementwise_pow(x, qi + 1),
                                     layer.kernels[qi], layer.biases[qi])
                    for qi in range(q))
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
