@@ -1,10 +1,11 @@
 """Paired-seed cross-validation study on the synthetic thermal corpus.
 
 Generates (or reuses) a seeded corpus, then runs 5-fold cross-validation
-for each requested polynomial order across several paired seeds: every
-seed trains one model per order on identical folds, so the per-seed
-accuracy differences isolate the effect of the order alone. Prints the
-per-seed paired accuracies and a small aggregate table.
+for each requested polynomial order across several paired seeds through
+`selfonn_kit.cli.paired_cv_study`: every seed trains one model per order
+on identical folds, so the per-seed accuracy differences isolate the
+effect of the order alone. Prints the per-seed paired accuracies and a
+small aggregate table.
 
 Usage:
     python3 scripts/desk_experiment.py --out runs/desk --seeds 5 --epochs 3
@@ -19,11 +20,10 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from selfonn_kit.cli import STREAM_BATCH, STREAM_INIT, derive_seed
+from selfonn_kit.cli import paired_cv_study
 from selfonn_kit.data import load_dataset, make_cv_splits, stratified_ordered_kfold
-from selfonn_kit.model import ModelConfig, build_model
+from selfonn_kit.model import ModelConfig
 from selfonn_kit.synth import SynthConfig, synth_generate
-from selfonn_kit.training import TrainConfig, evaluate, fit
 
 
 def parse_args():
@@ -53,27 +53,6 @@ def corpus_manifest(args) -> Path:
                                            seed=args.corpus_seed))
 
 
-def cross_validate(dataset, splits, q, seed_root, args):
-    config = ModelConfig(q_order=q,
-                         input_shape=tuple(dataset.images[0].shape),
-                         block_filters=(4, 4, 4), kernel_sizes=(5, 3, 2),
-                         dense_units=16, classes=3)
-    accs = []
-    for fold, split in enumerate(splits):
-        model = build_model(config,
-                            derive_seed(seed_root, STREAM_INIT, q, fold))
-        tc = TrainConfig(learning_rate=args.lr, batch_size=args.batch,
-                         max_epochs=args.epochs,
-                         seed=derive_seed(seed_root, STREAM_BATCH, q, fold))
-        tr = dataset.subset(split.train_indices)
-        va = dataset.subset(split.val_indices)
-        fit(model, tr[0], tr[1], va[0], va[1], tc)
-        te_x, te_y = dataset.subset(split.test_indices)
-        _, acc, _ = evaluate(model, te_x, te_y)
-        accs.append(acc)
-    return accs
-
-
 def main():
     args = parse_args()
     orders = [int(v) for v in args.orders.split(",")]
@@ -83,16 +62,17 @@ def main():
           f"{dataset.images[0].shape[2]} after halving")
     splits = make_cv_splits(stratified_ordered_kfold(dataset.labels, args.k))
 
-    results = {}  # (seed, q) -> fold accuracies
+    config = ModelConfig(input_shape=tuple(dataset.images[0].shape),
+                         block_filters=(4, 4, 4), kernel_sizes=(5, 3, 2),
+                         dense_units=16, classes=3)
     start = time.perf_counter()
-    for seed in range(args.seeds):
-        for q in orders:
-            t0 = time.perf_counter()
-            accs = cross_validate(dataset, splits, q, seed, args)
-            results[(seed, q)] = accs
-            print(f"seed {seed} q={q}: mean {np.mean(accs):.4f} "
-                  f"folds {[f'{a:.3f}' for a in accs]} "
-                  f"({time.perf_counter() - t0:.0f}s)")
+    # (seed, q) -> fold accuracies
+    results = paired_cv_study(config, dataset, splits, range(args.seeds),
+                              orders, epochs=args.epochs, batch=args.batch,
+                              lr=args.lr)
+    for (seed, q), accs in results.items():
+        print(f"seed {seed} q={q}: mean {np.mean(accs):.4f} "
+              f"folds {[f'{a:.3f}' for a in accs]}")
 
     print(f"\ntotal {time.perf_counter() - start:.0f}s")
     print(f"\n{'q':>2}  {'mean':>7}  {'std':>7}  per-seed means")

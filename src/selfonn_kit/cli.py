@@ -28,21 +28,22 @@ import logging
 import math
 import os
 import sys
-from dataclasses import field, make_dataclass
+from dataclasses import field, make_dataclass, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data import (CLASS_NAMES, ManifestError, PgmError, load_dataset,
-                   load_pgm16, read_manifest, stratified_ordered_kfold,
-                   make_cv_splits, write_fold_plan)
-from .model import (ConfigError, ModelConfig, WeightFileError,
+from .data import (CLASS_NAMES, CvSplit, Dataset, ManifestError, PgmError,
+                   load_dataset, load_pgm16, read_manifest,
+                   stratified_ordered_kfold, make_cv_splits, write_fold_plan)
+from .model import (ConfigError, Model, ModelConfig, WeightFileError,
                     build_model, load_weights, param_count, save_weights)
-from .metrics import (aggregate_folds, bench_inference, confusion,
-                      format_confusion, format_metric_table, metric_report)
+from .metrics import (MetricReport, aggregate_folds, bench_inference,
+                      confusion, format_confusion, format_metric_table,
+                      metric_report)
 from .synth import SynthConfig, pixel_to_temperature, synth_generate
-from .training import DivergenceError, TrainConfig, evaluate, fit
+from .training import DivergenceError, FitResult, TrainConfig, evaluate, fit
 
 log = logging.getLogger("selfonn_kit")
 
@@ -66,6 +67,62 @@ class UsageError(ValueError):
 def derive_seed(root: int, *context: int) -> int:
     """Collapse (root, stream, ...) into one independent integer seed."""
     return int(np.random.SeedSequence([root, *context]).generate_state(1)[0])
+
+
+class FoldRun(NamedTuple):
+    """One trained cross-validation round and its test-fold scores."""
+
+    model: Model
+    result: FitResult
+    test_loss: float
+    test_accuracy: float
+    test_labels: np.ndarray
+    predictions: np.ndarray
+
+
+def train_fold(config: ModelConfig, dataset: Dataset, split: CvSplit,
+               seed: int, *, epochs: int, batch: int, lr: float) -> FoldRun:
+    """Train on one CvSplit, keep the best validation epoch, score the test fold.
+
+    Weights come from derive_seed(seed, STREAM_INIT, q, fold) and the batch
+    shuffle from derive_seed(seed, STREAM_BATCH, q, fold), with q the
+    config's order and fold the split's test fold, so a (seed, q, fold)
+    triple always trains the same bits.
+    """
+    fold, q = split.test_fold, config.q_order
+    train_x, train_y = dataset.subset(split.train_indices)
+    val_x, val_y = dataset.subset(split.val_indices)
+    test_x, test_y = dataset.subset(split.test_indices)
+    model = build_model(config, derive_seed(seed, STREAM_INIT, q, fold))
+    tc = TrainConfig(learning_rate=lr, batch_size=batch, max_epochs=epochs,
+                     seed=derive_seed(seed, STREAM_BATCH, q, fold))
+    log.info("fold %d: %d train / %d val / %d test samples, %d parameters",
+             fold, len(train_x), len(val_x), len(test_x), model.n_params)
+    result = fit(model, train_x, train_y, val_x, val_y, tc,
+                 on_epoch=lambda r: log.info(
+                     "fold %d epoch %d: train %.4f val %.4f acc %.4f lr %.2g",
+                     fold, r.epoch, r.train_loss, r.val_loss,
+                     r.val_accuracy, r.learning_rate))
+    test_loss, test_acc, preds = evaluate(model, test_x, test_y)
+    return FoldRun(model, result, test_loss, test_acc, test_y, preds)
+
+
+def paired_cv_study(config: ModelConfig, dataset: Dataset,
+                    splits: list[CvSplit], seeds, orders, *,
+                    epochs: int, batch: int,
+                    lr: float) -> dict[tuple[int, int], list[float]]:
+    """Per-fold test accuracies for every (seed, q) pair.
+
+    Every seed trains one model per order on the same splits; config gives
+    the architecture, its q_order is replaced by each order in turn. Within
+    a seed the orders differ only in q, so per-seed differences isolate the
+    effect of the order.
+    """
+    return {(seed, q): [train_fold(replace(config, q_order=q), dataset, split,
+                                   seed, epochs=epochs, batch=batch,
+                                   lr=lr).test_accuracy
+                        for split in splits]
+            for seed in seeds for q in orders}
 
 
 class Setting(NamedTuple):
@@ -275,7 +332,7 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def _require_manifest(cfg: RunConfig) -> str:
+def _manifest(cfg: RunConfig) -> str:
     if not cfg.manifest:
         raise UsageError("this command needs --manifest (or [run] manifest)")
     return cfg.manifest
@@ -353,7 +410,7 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 def cmd_split(cfg: RunConfig) -> int:
     """plan stratified folds over a manifest"""
-    records = read_manifest(_require_manifest(cfg))
+    records = read_manifest(_manifest(cfg))
     labels = [r.label for r in records]
     plan = stratified_ordered_kfold(labels, cfg.k)
     out = _out_dir(cfg)
@@ -371,58 +428,50 @@ def _fold_paths(out: Path, q: int, fold: int) -> dict[str, Path]:
             "report": out / f"{stem}_report.txt"}
 
 
-def _train_fold(cfg: RunConfig, dataset, splits, fold: int, out: Path):
-    """Fit one cross-validation round and write its three artifacts."""
-    split = splits[fold]
-    train_x, train_y = dataset.subset(split.train_indices)
-    val_x, val_y = dataset.subset(split.val_indices)
-    test_x, test_y = dataset.subset(split.test_indices)
-    mc = _model_config(cfg, tuple(dataset.images[0].shape))
-    model = build_model(mc, derive_seed(cfg.seed, STREAM_INIT, cfg.q_order, fold))
-    tc = TrainConfig(learning_rate=cfg.lr, batch_size=cfg.batch,
-                     max_epochs=cfg.epochs,
-                     seed=derive_seed(cfg.seed, STREAM_BATCH, cfg.q_order, fold))
-    log.info("fold %d: %d train / %d val / %d test samples, %d parameters",
-             fold, len(train_x), len(val_x), len(test_x), model.n_params)
-    result = fit(model, train_x, train_y, val_x, val_y, tc,
-                 on_epoch=lambda r: log.info(
-                     "fold %d epoch %d: train %.4f val %.4f acc %.4f lr %.2g",
-                     fold, r.epoch, r.train_loss, r.val_loss,
-                     r.val_accuracy, r.learning_rate))
-    test_loss, test_acc, preds = evaluate(model, test_x, test_y)
-    report = metric_report(confusion(test_y, preds, len(CLASS_NAMES)))
+def _train_and_write(cfg: RunConfig, config: ModelConfig, dataset: Dataset,
+                     split: CvSplit, out: Path) -> tuple[FoldRun, MetricReport]:
+    """train_fold with the run's settings, then write the round's artifacts.
 
-    paths = _fold_paths(out, cfg.q_order, fold)
-    save_weights(model, paths["weights"])
-    write_epoch_log(result.history, paths["epochs"])
+    Writes the weights, the epoch log and the test report, and returns the
+    run with its test-fold metric report.
+    """
+    run = train_fold(config, dataset, split, cfg.seed, epochs=cfg.epochs,
+                     batch=cfg.batch, lr=cfg.lr)
+    paths = _fold_paths(out, run.model.config.q_order, split.test_fold)
+    save_weights(run.model, paths["weights"])
+    write_epoch_log(run.result.history, paths["epochs"])
+    report = metric_report(confusion(run.test_labels, run.predictions,
+                                     len(CLASS_NAMES)))
     body = [f"test_fold {split.test_fold}",
             f"val_fold {split.val_fold}",
-            f"epochs_run {len(result.history)}",
-            f"best_epoch {result.best_epoch}",
-            f"best_val_loss {_fmt(result.best_val_loss)}",
-            f"stopped_early {int(result.stopped_early)}",
-            f"test_loss {_fmt(test_loss)}", "",
+            f"epochs_run {len(run.result.history)}",
+            f"best_epoch {run.result.best_epoch}",
+            f"best_val_loss {_fmt(run.result.best_val_loss)}",
+            f"stopped_early {int(run.result.stopped_early)}",
+            f"test_loss {_fmt(run.test_loss)}", "",
             format_confusion(report.matrix, CLASS_NAMES), "",
             format_metric_table(report, CLASS_NAMES)]
     paths["report"].write_text("\n".join(body) + "\n")
-    return report, result
+    return run, report
 
 
 def _load_split_data(cfg: RunConfig):
-    dataset = load_dataset(_require_manifest(cfg),
+    dataset = load_dataset(_manifest(cfg),
                            half_resolution=cfg.half_resolution,
                            shared_bounds=cfg.normalization == "dataset")
     plan = stratified_ordered_kfold(dataset.labels, cfg.k)
-    return dataset, make_cv_splits(plan), plan
+    return dataset, make_cv_splits(plan)
 
 
 def cmd_train(cfg: RunConfig) -> int:
     """train one cross-validation round"""
-    dataset, splits, _ = _load_split_data(cfg)
-    fold = 0 if cfg.fold_selector == "all" else int(cfg.fold_selector)
+    dataset, splits = _load_split_data(cfg)
+    # the architecture is checked against the images before --out exists
+    config = _model_config(cfg, tuple(dataset.images[0].shape))
+    split = splits[0 if cfg.fold_selector == "all" else int(cfg.fold_selector)]
     out = _out_dir(cfg)
-    report, result = _train_fold(cfg, dataset, splits, fold, out)
-    print(f"fold {fold}: {len(result.history)} epochs, "
+    run, report = _train_and_write(cfg, config, dataset, split, out)
+    print(f"fold {split.test_fold}: {len(run.result.history)} epochs, "
           f"test accuracy {report.accuracy:.6f}")
     print(format_metric_table(report, CLASS_NAMES))
     return EXIT_OK
@@ -430,13 +479,14 @@ def cmd_train(cfg: RunConfig) -> int:
 
 def cmd_crossval(cfg: RunConfig) -> int:
     """train and aggregate every round"""
-    dataset, splits, _ = _load_split_data(cfg)
+    dataset, splits = _load_split_data(cfg)
+    config = _model_config(cfg, tuple(dataset.images[0].shape))
     out = _out_dir(cfg)
     reports = []
-    for fold in range(cfg.k):
-        report, _ = _train_fold(cfg, dataset, splits, fold, out)
+    for split in splits:
+        _, report = _train_and_write(cfg, config, dataset, split, out)
         reports.append(report)
-        print(f"fold {fold}: test accuracy {report.accuracy:.6f}")
+        print(f"fold {split.test_fold}: test accuracy {report.accuracy:.6f}")
     agg = aggregate_folds(reports)
     recalls = [r.weighted_recall for r in reports]
     lines = [f"q {cfg.q_order}",
@@ -460,7 +510,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     if not cfg.weights:
         raise UsageError("eval needs --weights (or [eval] weights)")
     model = load_weights(cfg.weights)
-    dataset, splits, _ = _load_split_data(cfg)
+    dataset, splits = _load_split_data(cfg)
     data_shape = tuple(dataset.images[0].shape)
     if model.config.input_shape != data_shape:
         raise WeightFileError(

@@ -17,6 +17,11 @@ stacked ``np.matmul`` calls, one BLAS call per sample, so every sample's
 result is bitwise what it would be on its own. The two adjoints take one
 sample ``[C, H, W]`` per call; the input adjoint scatters its column product
 back with a small col2im loop over kernel offsets.
+
+Shapes are checked at the model boundary, not here: ``ModelConfig`` fixes
+every layer's map and kernel sizes and ``model_forward`` checks the input,
+so these kernels take their arguments as given. Only the loss checks its
+targets, which come from the data.
 """
 
 from __future__ import annotations
@@ -45,11 +50,6 @@ class DimensionError(ValueError):
 
 class ConsistencyError(RuntimeError):
     """Internal state (forward caches, power stacks) does not match its producer."""
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise DimensionError(msg)
 
 
 def _im2col(x: Tensor, kh: int, kw: int) -> Tensor:
@@ -86,14 +86,7 @@ def conv2d_valid(x: Tensor, kernels: Tensor, bias: Tensor | None = None) -> Tens
     together) is one stacked matmul: a GEMM per sample, never one GEMM
     across samples, so a sample's output does not depend on its batch.
     """
-    _require(x.ndim >= 3, f"input must be [...,Cin,H,W], got shape {tuple(x.shape)}")
-    _require(kernels.ndim == 4,
-             f"kernels must be [Cout,Cin,Kh,Kw], got shape {tuple(kernels.shape)}")
     cout, cin, kh, kw = kernels.shape
-    _require(x.shape[-3] == cin,
-             f"channel mismatch: input {tuple(x.shape)} vs kernels {tuple(kernels.shape)}")
-    _require(x.shape[-2] >= kh and x.shape[-1] >= kw,
-             f"kernel {tuple(kernels.shape)} does not fit input {tuple(x.shape)}")
     lead = x.shape[:-3]
     samples = x.reshape(-1, *x.shape[-3:])
     hp = x.shape[-2] - kh + 1
@@ -107,8 +100,6 @@ def conv2d_valid(x: Tensor, kernels: Tensor, bias: Tensor | None = None) -> Tens
                   out=out[:, :, r0 * wp:r1 * wp])
     out = out.reshape(*lead, cout, hp, wp)
     if bias is not None:
-        _require(bias.shape == (cout,),
-                 f"bias shape {tuple(bias.shape)} vs Cout={cout}")
         out += bias[:, None, None]
     return out
 
@@ -118,12 +109,8 @@ def conv2d_backward_weights(x: Tensor, grad_out: Tensor) -> Tensor:
 
     dW[o,c,r,t] = sum_{m,n} grad_out[o,m,n] * x[c,m+r,n+t]
     """
-    _require(x.ndim == 3 and grad_out.ndim == 3,
-             f"need [Cin,H,W] and [Cout,H',W'], got {tuple(x.shape)} and {tuple(grad_out.shape)}")
     cin, h, w = x.shape
     cout, hp, wp = grad_out.shape
-    _require(hp <= h and wp <= w,
-             f"output grad {tuple(grad_out.shape)} larger than input {tuple(x.shape)}")
     kh, kw = h - hp + 1, w - wp + 1
     cols = _im2col(x, kh, kw)  # (Cin*Kh*Kw, H'*W')
     flat = grad_out.reshape(cout, hp * wp) @ cols.T
@@ -136,12 +123,7 @@ def conv2d_backward_input(kernels: Tensor, grad_out: Tensor) -> Tensor:
     dY[c,i,j] = sum over (o,r,t) with 0 <= i-r < H', 0 <= j-t < W' of
     kernels[o,c,r,t] * grad_out[o,i-r,j-t].
     """
-    _require(kernels.ndim == 4 and grad_out.ndim == 3,
-             f"need [Cout,Cin,Kh,Kw] and [Cout,H',W'], got "
-             f"{tuple(kernels.shape)} and {tuple(grad_out.shape)}")
     cout, cin, kh, kw = kernels.shape
-    _require(grad_out.shape[0] == cout,
-             f"channel mismatch: kernels {tuple(kernels.shape)} vs grad {tuple(grad_out.shape)}")
     hp, wp = grad_out.shape[1], grad_out.shape[2]
     kmat = kernels.reshape(cout, cin * kh * kw)
     cols = (kmat.T @ grad_out.reshape(cout, hp * wp)).reshape(cin, kh, kw, hp, wp)
@@ -188,9 +170,6 @@ def _pool_max(cells) -> Tensor:
 
 def maxpool2x2(x: Tensor) -> Tensor:
     """Disjoint 2x2 stride-2 max pool of a [..., C, H, W] map; odd edges are dropped."""
-    _require(x.ndim >= 3, f"input must be [...,C,H,W], got shape {tuple(x.shape)}")
-    _require(x.shape[-2] >= 2 and x.shape[-1] >= 2,
-             f"cannot 2x2-pool a {x.shape[-2]}x{x.shape[-1]} map")
     return _pool_max(_pool_cells(x))
 
 
@@ -203,9 +182,6 @@ def maxpool2x2_backward(grad_out: Tensor, x: Tensor) -> Tensor:
     """
     cells = _pool_cells(x)
     pooled = _pool_max(cells)
-    _require(grad_out.shape == pooled.shape,
-             f"pool gradient shape {tuple(grad_out.shape)} vs pooled map "
-             f"{tuple(pooled.shape)} of input {tuple(x.shape)}")
     grad = np.zeros_like(x)
     open_windows = np.ones(pooled.shape, dtype=bool)
     for cell, grad_cell in zip(cells, _pool_cells(grad)):
@@ -227,12 +203,6 @@ def _matvec(matrix: Tensor, x: Tensor) -> Tensor:
 
 def dense_forward(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     """Affine map: out[...,u] = bias[u] + sum_d weights[u,d] * x[...,d]."""
-    _require(x.ndim >= 1 and weights.ndim == 2,
-             f"need [...,D] and [U,D], got {tuple(x.shape)} and {tuple(weights.shape)}")
-    u, d = weights.shape
-    _require(x.shape[-1] == d,
-             f"input length {x.shape[-1]} vs weights {tuple(weights.shape)}")
-    _require(bias.shape == (u,), f"bias shape {tuple(bias.shape)} vs U={u}")
     return _matvec(weights, x) + bias
 
 
@@ -243,11 +213,6 @@ def dense_backward(x: Tensor, weights: Tensor,
     For [..., D] inputs the weight and bias gradients keep the leading
     dimensions, [..., U, D] and [..., U]; summing them is the caller's job.
     """
-    u, d = weights.shape
-    _require(grad_out.shape[-1:] == (u,),
-             f"grad shape {tuple(grad_out.shape)} vs U={u}")
-    _require(x.shape == grad_out.shape[:-1] + (d,),
-             f"input shape {tuple(x.shape)} vs D={d} and grad {tuple(grad_out.shape)}")
     grad_x = _matvec(weights.T, grad_out)
     grad_w = grad_out[..., :, None] * x[..., None, :]
     grad_b = grad_out.copy()

@@ -11,7 +11,7 @@ single samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,27 +30,10 @@ class TrainConfig:
     batch_size: int = 16
     max_epochs: int = 300
     seed: int = 0
-    shuffle: bool = True
-    # Plateau schedule: halve the LR when validation loss has not improved
-    # by min_delta for `plateau_patience` consecutive epochs, never below
-    # the floor. The stall counter resets after each reduction.
-    plateau_factor: float = 0.5
-    plateau_patience: int = 3
-    min_learning_rate: float = 5e-5
-    # Stop after `stop_patience` consecutive epochs without a new best
-    # validation loss, then restore the best-epoch weights.
-    stop_patience: int = 5
-    min_delta: float = 0.0
 
     def __post_init__(self):
         if self.learning_rate <= 0 or self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("learning_rate, batch_size and max_epochs must be positive")
-        if not 0 < self.plateau_factor < 1:
-            raise ValueError(f"plateau_factor must lie in (0, 1), got {self.plateau_factor}")
-        if self.plateau_patience < 1 or self.stop_patience < 1:
-            raise ValueError("patience values must be >= 1")
-        if self.min_delta < 0:
-            raise ValueError("min_delta must be non-negative")
 
 
 @dataclass
@@ -240,8 +223,11 @@ def fit(model: Model, train_images, train_labels, val_images, val_labels,
     Each epoch: shuffle (seeded), accumulate mean gradients per batch, one
     Adam step per batch, then a full validation pass. The plateau schedule
     sees the validation loss first, the early stopper second, so an epoch
-    that triggers both still records its LR cut. `on_epoch`, if given, is
-    called with each EpochRecord as it is produced.
+    that triggers both still records its LR cut. Both keep their defaults,
+    the paper's protocol: halve the rate after 3 stalled epochs, down to
+    5e-5; stop after 5 epochs without a new best, restoring the best
+    weights. `on_epoch`, if given, is called with each EpochRecord as it is
+    produced.
     """
     train_labels = np.asarray(train_labels)
     val_labels = np.asarray(val_labels)
@@ -252,19 +238,12 @@ def fit(model: Model, train_images, train_labels, val_images, val_labels,
         raise ValueError("cannot fit on an empty training set")
     rng = np.random.default_rng(config.seed)
     adam = AdamState.for_params(model.n_params)
-    schedule = LrSchedule(learning_rate=config.learning_rate,
-                          factor=config.plateau_factor,
-                          patience=config.plateau_patience,
-                          floor=config.min_learning_rate,
-                          min_delta=config.min_delta)
-    stopper = EarlyStopper(patience=config.stop_patience, min_delta=config.min_delta)
+    schedule = LrSchedule(learning_rate=config.learning_rate)
+    stopper = EarlyStopper()
     history: list[EpochRecord] = []
     stopped = False
     for epoch in range(config.max_epochs):
-        if config.shuffle:
-            order = rng.permutation(len(train_images))
-        else:
-            order = np.arange(len(train_images))
+        order = rng.permutation(len(train_images))
         train_loss = _train_epoch(model, train_images, train_labels, order,
                                   config, adam, schedule.learning_rate, epoch)
         val_loss, val_acc, _ = evaluate(model, val_images, val_labels)

@@ -18,7 +18,7 @@ from selfonn_kit import data as d
 from selfonn_kit import metrics as met
 from selfonn_kit import model as sm
 from selfonn_kit import synth as sy
-from selfonn_kit.training import EarlyStopper, LrSchedule, TrainConfig, evaluate, fit
+from selfonn_kit.training import EarlyStopper, LrSchedule
 
 FULL_SCALE_COUNTS = {1: 293027, 2: 294083, 3: 295139, 4: 296195, 5: 297251}
 
@@ -226,29 +226,15 @@ def test_criterion_06_desk_scale_learning(capsys, tmp_path):
     assert dataset.images[0].shape == (1, 64, 80)
     splits = d.make_cv_splits(d.stratified_ordered_kfold(dataset.labels, 5))
 
-    def run(seed_root, q):
-        config = sm.ModelConfig(q_order=q, input_shape=(1, 64, 80),
-                                block_filters=(4, 4, 4),
-                                kernel_sizes=(5, 3, 2),
-                                dense_units=16, classes=3)
-        accs = []
-        for fold, split in enumerate(splits):
-            model = sm.build_model(
-                config, cli.derive_seed(seed_root, cli.STREAM_INIT, q, fold))
-            tc = TrainConfig(
-                max_epochs=3,
-                seed=cli.derive_seed(seed_root, cli.STREAM_BATCH, q, fold))
-            tr_x, tr_y = dataset.subset(split.train_indices)
-            va_x, va_y = dataset.subset(split.val_indices)
-            fit(model, tr_x, tr_y, va_x, va_y, tc)
-            te_x, te_y = dataset.subset(split.test_indices)
-            _, acc, _ = evaluate(model, te_x, te_y)
-            accs.append(acc)
-        return float(np.mean(accs))
-
+    config = sm.ModelConfig(q_order=1, input_shape=(1, 64, 80),
+                            block_filters=(4, 4, 4),
+                            kernel_sizes=(5, 3, 2),
+                            dense_units=16, classes=3)
     seeds = [0, 1, 2, 3, 4]
-    acc_q1 = {s: run(s, 1) for s in seeds}
-    acc_q2 = {s: run(s, 2) for s in seeds}
+    fold_accs = cli.paired_cv_study(config, dataset, splits, seeds, [1, 2],
+                                    epochs=3, batch=16, lr=1e-3)
+    acc_q1 = {s: float(np.mean(fold_accs[(s, 1)])) for s in seeds}
+    acc_q2 = {s: float(np.mean(fold_accs[(s, 2)])) for s in seeds}
     mean_q1 = float(np.mean(list(acc_q1.values())))
     mean_q2 = float(np.mean(list(acc_q2.values())))
     wins = sum(acc_q2[s] >= acc_q1[s] for s in seeds)

@@ -2,13 +2,16 @@ import logging
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from selfonn_kit import cli
-from selfonn_kit.model import ModelConfig, build_model, save_weights
+from selfonn_kit.data import load_dataset, make_cv_splits, stratified_ordered_kfold
+from selfonn_kit.model import ModelConfig, build_model, load_weights, save_weights
+from selfonn_kit.training import TrainConfig, evaluate, fit
 
 TINY_MODEL = ["--filters", "2", "--kernels", "3", "--dense", "4"]
 
@@ -175,6 +178,16 @@ class TestExitCodes:
                     "--input-width", "16"]) == cli.EXIT_USAGE
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "crossval"])
+    def test_too_deep_for_images_rejected_before_out(self, command, corpus,
+                                                      tmp_path, capsys):
+        # the default 5,3,2 kernels die in block 3 of a 16x16 image
+        out = tmp_path / "out"
+        assert run([command, "--manifest", corpus, "--out", out,
+                    "--k", "2"]) == cli.EXIT_USAGE
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["train", "--batch", "0"], ["train", "--epochs", "0"],
         ["train", "--lr", "-1"], ["train", "--lr", "nan"],
@@ -340,6 +353,54 @@ class TestTrainEvalPipeline:
         assert "accuracy_mean" in agg and "pooled_accuracy" in agg
         assert "pooled confusion:" in agg
         assert agg in stdout
+
+
+class TestSharedFoldPath:
+    """crossval, paired_cv_study and a loop written here train the same bits.
+
+    The loop seeds each fold as the package promises, from derive_seed(seed,
+    STREAM_INIT or STREAM_BATCH, q, fold), so it pins that contract without
+    going through train_fold.
+    """
+
+    def test_three_sources_agree(self, tmp_path, capsys):
+        corpus, cv = tmp_path / "corpus", tmp_path / "cv"
+        seed, q, k = 4, 2, 3
+        assert run(["synth", "--out", corpus, "--per-class", "6",
+                    "--height", "32", "--width", "40", "--seed", "1"]) == 0
+        manifest = corpus / "manifest.tsv"
+        capsys.readouterr()
+        assert run(["crossval", "--manifest", manifest, "--out", cv,
+                    "--filters", "2,2", "--kernels", "3,2", "--dense", "4",
+                    "--k", k, "--epochs", "1", "--batch", "4", "--q", q,
+                    "--seed", seed]) == cli.EXIT_OK
+        printed = re.findall(r"^fold \d: test accuracy (\S+)$",
+                             capsys.readouterr().out, flags=re.MULTILINE)
+
+        dataset = load_dataset(manifest)
+        splits = make_cv_splits(stratified_ordered_kfold(dataset.labels, k))
+        config = ModelConfig(input_shape=dataset.images[0].shape,
+                             block_filters=(2, 2), kernel_sizes=(3, 2),
+                             dense_units=4)
+        study = cli.paired_cv_study(config, dataset, splits, [seed], [q],
+                                    epochs=1, batch=4, lr=1e-3)
+
+        explicit = []
+        for fold, split in enumerate(splits):
+            model = build_model(replace(config, q_order=q), cli.derive_seed(
+                seed, cli.STREAM_INIT, q, fold))
+            fit(model, *dataset.subset(split.train_indices),
+                *dataset.subset(split.val_indices),
+                TrainConfig(learning_rate=1e-3, batch_size=4, max_epochs=1,
+                            seed=cli.derive_seed(seed, cli.STREAM_BATCH, q,
+                                                 fold)))
+            explicit.append(
+                evaluate(model, *dataset.subset(split.test_indices))[1])
+            saved = load_weights(cv / f"q{q}_fold{fold}.sonn")
+            assert np.array_equal(saved.flat, model.flat)
+
+        assert study == {(seed, q): explicit}
+        assert printed == [f"{acc:.6f}" for acc in explicit]
 
 
 class TestBenchCommand:

@@ -46,6 +46,16 @@ class TestConfig:
             sm.ModelConfig(input_shape=(1, 16, 16), block_filters=(2, 2, 2),
                            kernel_sizes=(5, 3, 2), dense_units=4)
 
+    # The ops do not check shapes; the config must name the block that dies.
+    @pytest.mark.parametrize("shape,kernels,message", [
+        ((1, 2, 9), (3,), "2x9 map too small for a 3x3 kernel"),
+        ((1, 12, 12), (5, 4), "1x1 map too small to 2x2-pool"),
+    ])
+    def test_chain_death_names_the_stage(self, shape, kernels, message):
+        with pytest.raises(sm.ConfigError, match=message):
+            sm.ModelConfig(input_shape=shape, block_filters=(2,) * len(kernels),
+                           kernel_sizes=kernels, dense_units=4)
+
     @pytest.mark.parametrize("kwargs", [
         dict(q_order=0),
         dict(block_filters=(8, 8), kernel_sizes=(5, 3, 2)),

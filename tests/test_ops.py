@@ -58,16 +58,6 @@ class TestConvForward:
         want = conv2d_valid_loops(x, k, b)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
-    def test_shape_errors_name_both_shapes(self):
-        x = rng(0).standard_normal((2, 4, 4))
-        k = rng(0).standard_normal((1, 3, 2, 2))
-        with pytest.raises(ops.DimensionError, match=r"\(2, 4, 4\).*\(1, 3, 2, 2\)"):
-            ops.conv2d_valid(x, k)
-
-    def test_kernel_too_large(self):
-        with pytest.raises(ops.DimensionError):
-            ops.conv2d_valid(np.zeros((1, 2, 2)), np.zeros((1, 1, 3, 3)))
-
     # A Q=3 power-stack input whose output rows span several bands plus a
     # remainder band, and one whose output fits in a single band.
     @pytest.mark.parametrize("h,w,several_bands", [(21, 121, True),
@@ -126,10 +116,6 @@ class TestConvBackward:
         assert np.isclose(lhs, rhs, rtol=1e-12)
         mid = np.sum(k * ops.conv2d_backward_weights(x, g))
         assert np.isclose(lhs, mid, rtol=1e-12)
-
-    def test_channel_mismatch(self):
-        with pytest.raises(ops.DimensionError):
-            ops.conv2d_backward_input(np.zeros((2, 1, 2, 2)), np.zeros((3, 4, 4)))
 
 
 class TestElementwisePow:
@@ -214,10 +200,6 @@ class TestMaxPool:
         want[0, 1, 1], want[0, 1, 3] = 2.0, 3.0
         assert_same_bits(back, want)
 
-    def test_too_small(self):
-        with pytest.raises(ops.DimensionError):
-            ops.maxpool2x2(np.zeros((1, 1, 4)))
-
     def test_backward_scatters_to_argmax(self):
         # Three channels, odd height and width, quantized values full of ties.
         r = rng(8)
@@ -233,11 +215,6 @@ class TestMaxPool:
         assert_same_bits(back[:, 0::2, 0::2], g)
         for a, b in ((0, 1), (1, 0), (1, 1)):
             assert_same_bits(back[:, a::2, b::2], np.zeros((2, 2, 2)))
-
-    def test_backward_rejects_mismatch(self):
-        x = rng(8).standard_normal((1, 5, 4))
-        with pytest.raises(ops.DimensionError, match=r"\(1, 3, 2\)"):
-            ops.maxpool2x2_backward(np.zeros((1, 3, 2)), x)
 
 
 class TestDense:
@@ -267,12 +244,6 @@ class TestDense:
                                   central_difference(loss, flat_w, i)) < 1e-7
         for i in range(3):
             assert relative_error(gb[i], central_difference(loss, b, i)) < 1e-7
-
-    def test_shape_errors(self):
-        with pytest.raises(ops.DimensionError):
-            ops.dense_forward(np.zeros(4), np.zeros((3, 5)), np.zeros(3))
-        with pytest.raises(ops.DimensionError):
-            ops.dense_forward(np.zeros(5), np.zeros((3, 5)), np.zeros(2))
 
 
 class TestSoftmaxCrossEntropy:

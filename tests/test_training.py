@@ -155,10 +155,6 @@ class TestTrainConfig:
         dict(learning_rate=0.0),
         dict(batch_size=0),
         dict(max_epochs=0),
-        dict(plateau_factor=1.0),
-        dict(plateau_patience=0),
-        dict(stop_patience=0),
-        dict(min_delta=-1e-9),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -203,11 +199,12 @@ class TestFit:
         train_x, train_y = two_band_samples(4, seed=16)
         val_x, val_y = two_band_samples(2, seed=17)
         m = build_model(TINY, 18)
-        # a vanishing learning rate cannot beat min_delta, so the stopper
-        # fires exactly patience epochs after the first
+        # at this learning rate Adam's steps vanish next to the weights, so
+        # the validation loss never improves and the stopper fires exactly
+        # patience epochs after the first
         res = fit(m, train_x, train_y, val_x, val_y,
                   TrainConfig(max_epochs=50, batch_size=4, seed=19,
-                              learning_rate=1e-12, min_delta=1e-3))
+                              learning_rate=1e-30))
         assert res.stopped_early
         assert len(res.history) == 6
 
@@ -226,18 +223,6 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(m, [], np.array([], dtype=int), [np.zeros((1, 6, 6))],
                 np.array([0]), TrainConfig())
-
-    def test_unshuffled_mode_is_sequential(self):
-        train_x, train_y = two_band_samples(4, seed=23)
-        val_x, val_y = two_band_samples(2, seed=24)
-        runs = []
-        for _ in range(2):
-            m = build_model(TINY, 25)
-            res = fit(m, train_x, train_y, val_x, val_y,
-                      TrainConfig(max_epochs=3, batch_size=4, seed=26,
-                                  shuffle=False))
-            runs.append(m.flatten())
-        assert np.array_equal(runs[0], runs[1])
 
 
 def plain_params(model):
