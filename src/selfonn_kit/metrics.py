@@ -77,10 +77,6 @@ class MetricReport:
     undefined_precision: tuple[int, ...]   # classes never predicted
     undefined_recall: tuple[int, ...]      # classes with zero support
 
-    @property
-    def has_undefined(self) -> bool:
-        return bool(self.undefined_precision or self.undefined_recall)
-
 
 def metric_report(matrix: ConfusionMatrix) -> MetricReport:
     """Derive all rates from one confusion matrix.

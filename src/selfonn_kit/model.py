@@ -281,37 +281,26 @@ def selfonn_backward(layer: SelfOnnLayerParams, stack: Tensor, grad_out: Tensor,
     `stack` is [..., Q*Cin, H, W] and `grad_out` [..., Cout, H', W'] with the
     same leading dimensions. Returns (grad_kernels, grad_biases, grad_input),
     each per sample: [..., Q, Cout, Cin, Kh, Kw], [..., Q, Cout] and the
-    input's shape. Kernel gradients are the convolution weight-adjoint per
-    power map; every per-q bias sees the same summed grad_out; the input
-    gradient, None unless `input_grad`, applies the power rule,
-    grad_input = sum_q q * x**(q-1) * conv_input_adjoint(kernels[q]), with
-    the q=1 term added directly since its factor is one. The conv adjoints
-    run one sample per call, so no batch-sized patch matrix is ever built.
+    input's shape. One weight-adjoint call over the whole stack gives every
+    power map's kernel gradient; every per-q bias sees the same summed
+    grad_out. The input gradient, None unless `input_grad`, is one
+    input-adjoint call with the merged bank followed by the power rule,
+    grad_input = sum_q q * x**(q-1) * adjoint_q, the q=1 term added
+    directly since its factor is one.
     """
-    q_order = layer.q_order
-    cin = layer.kernels.shape[2]
+    q_order, cout, cin, kh, kw = layer.kernels.shape
     if stack.shape[-3] != q_order * cin:
         raise ConsistencyError(
             f"power stack has {stack.shape[-3]} channels, layer needs "
             f"{q_order} x {cin}")
-    cout, kh, kw = layer.kernels.shape[1], layer.kernels.shape[3], layer.kernels.shape[4]
     lead = stack.shape[:-3]
-    merged = _merged_kernels(layer)
-    stacks = stack.reshape(-1, *stack.shape[-3:])
-    grads = grad_out.reshape(-1, *grad_out.shape[-3:])
-    gw = np.empty((len(stacks), *merged.shape))
-    gb = np.empty((len(stacks), cout))
-    gin_all = np.empty(stacks.shape) if input_grad else None
-    for n, (s, g) in enumerate(zip(stacks, grads)):
-        gw[n] = ops.conv2d_backward_weights(s, g)
-        gb[n] = g.sum(axis=(1, 2))
-        if input_grad:
-            gin_all[n] = ops.conv2d_backward_input(merged, g)
+    gw = ops.conv2d_backward_weights(stack, grad_out)
     grad_kernels = gw.reshape(*lead, cout, q_order, cin, kh, kw).swapaxes(-5, -4)
-    grad_biases = np.broadcast_to(gb.reshape(*lead, 1, cout), (*lead, q_order, cout))
+    gb = grad_out.sum(axis=(-2, -1))
+    grad_biases = np.broadcast_to(gb[..., None, :], (*lead, q_order, cout))
     if not input_grad:
         return grad_kernels, grad_biases, None
-    gin_all = gin_all.reshape(stack.shape)
+    gin_all = ops.conv2d_backward_input(_merged_kernels(layer), grad_out)
     grad_input = gin_all[..., :cin, :, :]
     for q in range(1, q_order):
         grad_input = grad_input + (q + 1) * stack[..., (q - 1) * cin:q * cin, :, :] \

@@ -10,13 +10,13 @@ from the pre-pool map), the dense affine map, tanh and softmax
 cross-entropy are all pure functions with hand-derived backward passes. No
 autograd graph.
 
-Both forward and backward convolutions run as GEMMs over im2col patch
-matrices. The forward pass builds its patch matrix one band of output rows
-at a time, for all samples at once, so it stays cache-sized; its GEMMs are
-stacked ``np.matmul`` calls, one BLAS call per sample, so every sample's
-result is bitwise what it would be on its own. The two adjoints take one
-sample ``[C, H, W]`` per call; the input adjoint scatters its column product
-back with a small col2im loop over kernel offsets.
+Convolutions and their adjoints run as GEMMs over im2col patch matrices
+built one band of output rows at a time for all samples at once, so they
+stay cache-sized. Each band is a stacked ``np.matmul``, one BLAS call per
+sample, so every sample's result is bitwise what it would be on its own.
+The input adjoint is the forward convolution of the zero-padded output
+gradient with the flipped bank; the weight adjoint adds up its bands in
+order, with a band height set by the map width alone.
 
 Shapes are checked at the model boundary, not here: ``ModelConfig`` fixes
 every layer's map and kernel sizes and ``model_forward`` checks the input,
@@ -63,15 +63,20 @@ def _im2col(x: Tensor, kh: int, kw: int) -> Tensor:
     return win.reshape(*lead, cin * kh * kw, hp * wp)
 
 
+def _band_step(wp: int) -> int:
+    """Fewest output rows of width `wp` that make whole _BAND_COLUMNS multiples."""
+    return _BAND_COLUMNS // math.gcd(wp, _BAND_COLUMNS)
+
+
 def _band_rows(patch: int, wp: int) -> int:
     """Output rows per forward band for a patch length and output width.
 
     `patch` is the patch length times the number of samples in the call. As
     many rows as keep the band's patch matrices, patch * rows*wp entries,
-    within _BAND_ELEMENTS, rounded down to whole _BAND_COLUMNS multiples of
-    columns; never fewer than one such multiple.
+    within _BAND_ELEMENTS, rounded down to whole _band_step(wp) multiples;
+    never fewer than one such multiple.
     """
-    step = _BAND_COLUMNS // math.gcd(wp, _BAND_COLUMNS)
+    step = _band_step(wp)
     rows = _BAND_ELEMENTS // (patch * wp)
     return max(step, rows - rows % step)
 
@@ -105,33 +110,40 @@ def conv2d_valid(x: Tensor, kernels: Tensor, bias: Tensor | None = None) -> Tens
 
 
 def conv2d_backward_weights(x: Tensor, grad_out: Tensor) -> Tensor:
-    """Weight gradient of conv2d_valid; kernel extent inferred from the shapes.
+    """Per-sample weight gradient of conv2d_valid, [..., Cout, Cin, Kh, Kw].
 
-    dW[o,c,r,t] = sum_{m,n} grad_out[o,m,n] * x[c,m+r,n+t]
+    dW[...,o,c,r,t] = sum_{m,n} grad_out[...,o,m,n] * x[...,c,m+r,n+t]
+
+    The kernel extent comes from the shapes. Bands of _band_step(W') output
+    rows are added in band order, each one stacked matmul (a GEMM per
+    sample); the band height does not depend on the batch, nor do the bits.
     """
-    cin, h, w = x.shape
-    cout, hp, wp = grad_out.shape
+    *lead, cin, h, w = x.shape
+    cout, hp, wp = grad_out.shape[-3:]
     kh, kw = h - hp + 1, w - wp + 1
-    cols = _im2col(x, kh, kw)  # (Cin*Kh*Kw, H'*W')
-    flat = grad_out.reshape(cout, hp * wp) @ cols.T
-    return flat.reshape(cout, cin, kh, kw)
+    samples = x.reshape(-1, cin, h, w)
+    grads = grad_out.reshape(-1, cout, hp * wp)
+    rows = _band_step(wp)
+    total = np.zeros((samples.shape[0], cout, cin * kh * kw))
+    for r0 in range(0, hp, rows):
+        r1 = min(r0 + rows, hp)
+        cols = _im2col(samples[:, :, r0:r1 + kh - 1], kh, kw)
+        total += np.matmul(grads[:, :, r0 * wp:r1 * wp], cols.swapaxes(-1, -2))
+    return total.reshape(*lead, cout, cin, kh, kw)
 
 
 def conv2d_backward_input(kernels: Tensor, grad_out: Tensor) -> Tensor:
-    """Input gradient of conv2d_valid: full correlation with flipped kernels.
+    """Input gradient of conv2d_valid for a [..., Cout, H', W'] output gradient.
 
-    dY[c,i,j] = sum over (o,r,t) with 0 <= i-r < H', 0 <= j-t < W' of
-    kernels[o,c,r,t] * grad_out[o,i-r,j-t].
+    dY[...,c,i,j] = sum over (o,r,t) with 0 <= i-r < H', 0 <= j-t < W' of
+    kernels[o,c,r,t] * grad_out[...,o,i-r,j-t]: the valid convolution of
+    grad_out, zero-padded by Kh-1 rows and Kw-1 columns on each side, with
+    the flipped, transposed bank.
     """
-    cout, cin, kh, kw = kernels.shape
-    hp, wp = grad_out.shape[1], grad_out.shape[2]
-    kmat = kernels.reshape(cout, cin * kh * kw)
-    cols = (kmat.T @ grad_out.reshape(cout, hp * wp)).reshape(cin, kh, kw, hp, wp)
-    grad_x = np.zeros((cin, hp + kh - 1, wp + kw - 1))
-    for r in range(kh):
-        for t in range(kw):
-            grad_x[:, r:r + hp, t:t + wp] += cols[:, r, t]
-    return grad_x
+    kh, kw = kernels.shape[-2:]
+    pad = [(0, 0)] * (grad_out.ndim - 2) + [(kh - 1, kh - 1), (kw - 1, kw - 1)]
+    return conv2d_valid(np.pad(grad_out, pad),
+                        kernels[:, :, ::-1, ::-1].swapaxes(0, 1))
 
 
 def tanh_forward(t: Tensor, out: Tensor | None = None) -> Tensor:

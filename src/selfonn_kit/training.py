@@ -32,8 +32,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.max_epochs < 1:
-            raise ValueError("learning_rate, batch_size and max_epochs must be positive")
+        if not 0 < self.learning_rate < np.inf or self.batch_size < 1 \
+                or self.max_epochs < 1:
+            raise ValueError("learning_rate, batch_size and max_epochs must be "
+                             "finite and positive")
 
 
 @dataclass
@@ -77,13 +79,12 @@ class LrSchedule:
     factor: float = 0.5
     patience: int = 3
     floor: float = 5e-5
-    min_delta: float = 0.0
     best: float = np.inf
     stalled: int = 0
 
     def update(self, val_loss: float) -> bool:
         """Record an epoch; returns True when the rate was just reduced."""
-        if val_loss < self.best - self.min_delta:
+        if val_loss < self.best:
             self.best = val_loss
             self.stalled = 0
             return False
@@ -100,7 +101,6 @@ class EarlyStopper:
     """Tracks the best validation loss and the weights that produced it."""
 
     patience: int = 5
-    min_delta: float = 0.0
     best: float = np.inf
     stalled: int = 0
     best_weights: Tensor | None = None
@@ -108,7 +108,7 @@ class EarlyStopper:
 
     def update(self, val_loss: float, model: Model, epoch: int) -> bool:
         """Record an epoch; returns True when training should stop."""
-        if val_loss < self.best - self.min_delta:
+        if val_loss < self.best:
             self.best = val_loss
             self.stalled = 0
             self.best_weights = model.flatten()

@@ -317,6 +317,27 @@ class TestBatchedOps:
                                rtol=1e-12, atol=1e-12)
             assert np.array_equal(gi, ops.conv2d_valid(xi, k, b))
 
+    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("h,w", [(9, 12), (8, 11), (21, 121)])
+    def test_conv_adjoints_on_power_stacks(self, n, h, w):
+        r = rng(38)
+        x = power_stack(r.random((n, 1, h, w)), 3)
+        k = r.standard_normal((2, 3, 5, 5))
+        g = r.standard_normal((n, 2, h - 4, w - 4))
+        rows = ops._band_step(w - 4)
+        if h == 21:  # several weight-adjoint bands plus a remainder band
+            assert rows < h - 4 and (h - 4) % rows
+        grad_k = ops.conv2d_backward_weights(x, g)
+        grad_x = ops.conv2d_backward_input(k, g)
+        assert grad_k.shape == (n, 2, 3, 5, 5) and grad_x.shape == x.shape
+        for xi, gi, gki, gxi in zip(x, g, grad_k, grad_x):
+            assert np.allclose(gki, conv2d_backward_weights_loops(xi, gi),
+                               rtol=1e-12, atol=1e-12)
+            assert np.allclose(gxi, conv2d_backward_input_loops(k, gi),
+                               rtol=1e-12, atol=1e-12)
+            assert np.array_equal(gki, ops.conv2d_backward_weights(xi, gi))
+            assert np.array_equal(gxi, ops.conv2d_backward_input(k, gi))
+
     def test_power_stack(self):
         x = rng(32).uniform(-2, 2, size=(5, 2, 7, 9))
         stack = power_stack(x, 3)

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +10,7 @@ import pytest
 import reference as ref
 from selfonn_kit import ops, training
 from selfonn_kit.model import (Model, ModelConfig, build_model, model_backward,
-                               model_forward)
+                               model_forward, param_count)
 from selfonn_kit.training import (AdamState, DivergenceError, EarlyStopper,
                                   LrSchedule, TrainConfig, adam_step, evaluate,
                                   fit)
@@ -99,12 +103,6 @@ class TestPlateauSchedule:
         assert not any(sched.update(1.0) for _ in range(10))
         assert sched.learning_rate == 5e-5
 
-    def test_min_delta_treats_tiny_gains_as_stalls(self):
-        sched = LrSchedule(learning_rate=1e-3, min_delta=0.1)
-        losses = [1.0, 0.99, 0.98, 0.97]
-        flags = [sched.update(v) for v in losses]
-        assert flags == [False, False, False, True]
-
 
 class TestEarlyStopper:
     def test_constant_loss_stops_after_patience(self):
@@ -155,6 +153,8 @@ class TestTrainConfig:
         dict(learning_rate=0.0),
         dict(batch_size=0),
         dict(max_epochs=0),
+        dict(learning_rate=float("nan")),
+        dict(learning_rate=float("inf")),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -362,3 +362,35 @@ class TestBatchMajorEquivalence:
                   for lo in range(0, 11, 4)]
         assert np.array_equal(preds, np.concatenate(chunks))
         assert acc == float(np.mean(preds == labels))
+
+
+THREAD_CONFIG = dict(q_order=3, input_shape=(1, 64, 80), block_filters=(4, 4, 4),
+                     kernel_sizes=(5, 3, 2), dense_units=16)
+# Trains THREAD_CONFIG for one epoch and writes the raw parameter bytes to stdout.
+THREAD_RUN = f"""
+import sys
+import numpy as np
+from selfonn_kit.model import ModelConfig, build_model
+from selfonn_kit.training import TrainConfig, fit
+config = ModelConfig(**{THREAD_CONFIG!r})
+r = np.random.default_rng(60)
+x = [r.random(config.input_shape) for _ in range(12)]
+y = np.arange(12) % 3
+model = build_model(config, 61)
+fit(model, x[:8], y[:8], x[8:], y[8:], TrainConfig(max_epochs=1, batch_size=4, seed=62))
+sys.stdout.buffer.write(model.flat.tobytes())
+"""
+
+
+def test_trained_bytes_do_not_depend_on_blas_threads():
+    src = str(Path(training.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-c", THREAD_RUN], env=env,
+                              capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr.decode()
+        runs.append(proc.stdout)
+    assert len(runs[0]) == 8 * param_count(ModelConfig(**THREAD_CONFIG))
+    assert runs[0] == runs[1]
