@@ -133,9 +133,9 @@ def resize_half(image: ThermalImage) -> ThermalImage:
     return ThermalImage(((sums + 2) // 4).astype(np.uint16))
 
 
-def normalize_minmax(image: ThermalImage, epsilon: float = 1e-8,
+def normalize_minmax(image: ThermalImage,
                      bounds: tuple[float, float] | None = None) -> np.ndarray:
-    """Map pixels to [0, 1) via (p - lo) / (hi - lo + epsilon).
+    """Map pixels to [0, 1) via (p - lo) / (hi - lo + 1e-8).
 
     With no bounds, lo and hi are this image's own extremes, so a constant
     image maps to all zeros. Passing shared (lo, hi) bounds puts every
@@ -148,7 +148,7 @@ def normalize_minmax(image: ThermalImage, epsilon: float = 1e-8,
         lo, hi = float(bounds[0]), float(bounds[1])
         if hi < lo:
             raise ValueError(f"bounds ({lo}, {hi}) are reversed")
-    return (p - lo) / (hi - lo + epsilon)
+    return (p - lo) / (hi - lo + 1e-8)
 
 
 @dataclass(frozen=True)
@@ -198,10 +198,6 @@ class FoldPlan:
     @property
     def k(self) -> int:
         return len(self.folds)
-
-    @property
-    def n_samples(self) -> int:
-        return sum(len(f) for f in self.folds)
 
 
 def stratified_ordered_kfold(labels, k: int) -> FoldPlan:
@@ -270,8 +266,6 @@ class Dataset:
 
     images: list[np.ndarray]        # each (1, H, W) float64
     labels: np.ndarray              # int64
-    records: list[SampleRecord]
-    normalization_bounds: tuple[float, float] | None  # None = per image
 
     def __len__(self) -> int:
         return len(self.images)
@@ -291,7 +285,7 @@ def dataset_pixel_bounds(images: list[ThermalImage]) -> tuple[int, int]:
 
 
 def load_dataset(manifest_path, half_resolution: bool = False,
-                 shared_bounds: bool = False, epsilon: float = 1e-8) -> Dataset:
+                 shared_bounds: bool = False) -> Dataset:
     """Load every manifest entry, optionally downscale, then normalize.
 
     All images must share one shape after the optional halving. With
@@ -305,10 +299,10 @@ def load_dataset(manifest_path, half_resolution: bool = False,
     for rec in records:
         try:
             img = load_pgm16(root / rec.path)
-        except (OSError, PgmError) as exc:
+            if half_resolution:
+                img = resize_half(img)
+        except (OSError, ValueError) as exc:
             raise ManifestError(f"cannot load {rec.path}: {exc}") from exc
-        if half_resolution:
-            img = resize_half(img)
         if raw and img.pixels.shape != raw[0].pixels.shape:
             raise ManifestError(
                 f"{rec.path} has shape {img.pixels.shape}, expected "
@@ -318,6 +312,6 @@ def load_dataset(manifest_path, half_resolution: bool = False,
     if shared_bounds:
         lo, hi = dataset_pixel_bounds(raw)
         bounds = (float(lo), float(hi))
-    images = [normalize_minmax(im, epsilon, bounds)[None, :, :] for im in raw]
+    images = [normalize_minmax(im, bounds)[None, :, :] for im in raw]
     labels = np.array([r.label for r in records], dtype=np.int64)
-    return Dataset(images, labels, records, bounds)
+    return Dataset(images, labels)

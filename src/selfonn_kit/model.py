@@ -19,8 +19,9 @@ weight-file format trivially consistent.
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,20 +92,24 @@ def feature_map_chain(config: ModelConfig) -> list[tuple[int, int, int]]:
     return chain
 
 
-def param_count(config: ModelConfig) -> int:
-    """Closed-form trainable-parameter count (kernels + per-q biases + head)."""
-    chain = feature_map_chain(config)
-    q = config.q_order
-    cin = config.input_shape[0]
-    total = 0
+def _shapes(config: ModelConfig) -> list[tuple[int, ...]]:
+    """Each parameter array's shape in flat (= weight-file) order: per block
+    the kernels (Q, Cout, Cin, K, K) and biases (Q, Cout), then the hidden
+    weights and bias, then the output weights and bias."""
+    q, cin = config.q_order, config.input_shape[0]
+    shapes: list[tuple[int, ...]] = []
     for filters, k in zip(config.block_filters, config.kernel_sizes):
-        total += q * filters * cin * k * k + q * filters
+        shapes += [(q, filters, cin, k, k), (q, filters)]
         cin = filters
-    c, h, w = chain[-1]
-    flat = c * h * w
-    total += flat * config.dense_units + config.dense_units
-    total += config.dense_units * config.classes + config.classes
-    return total
+    c, h, w = feature_map_chain(config)[-1]
+    shapes += [(config.dense_units, c * h * w), (config.dense_units,),
+               (config.classes, config.dense_units), (config.classes,)]
+    return shapes
+
+
+def param_count(config: ModelConfig) -> int:
+    """Trainable-parameter count (kernels + per-q biases + head)."""
+    return sum(math.prod(shape) for shape in _shapes(config))
 
 
 @dataclass
@@ -129,10 +134,6 @@ class SelfOnnLayerParams:
     def q_order(self) -> int:
         return self.kernels.shape[0]
 
-    @property
-    def param_count(self) -> int:
-        return self.kernels.size + self.biases.size
-
 
 @dataclass
 class DenseParams:
@@ -155,41 +156,21 @@ class Model:
     blocks: list[SelfOnnLayerParams]
     hidden: DenseParams
     output: DenseParams
-    offsets: tuple[tuple[str, int, int], ...] = field(repr=False)
 
     @classmethod
     def from_flat(cls, config: ModelConfig, flat: Tensor) -> "Model":
         """Wrap a flat vector; layer params become views into it."""
-        expected = param_count(config)
-        if flat.shape != (expected,):
+        shapes = _shapes(config)
+        sizes = [math.prod(shape) for shape in shapes]
+        if flat.shape != (sum(sizes),):
             raise DimensionError(
-                f"flat vector has shape {tuple(flat.shape)}, config needs ({expected},)")
-        offsets: list[tuple[str, int, int]] = []
-        pos = 0
-
-        def take(name, shape):
-            nonlocal pos
-            size = int(np.prod(shape))
-            view = flat[pos:pos + size].reshape(shape)
-            offsets.append((name, pos, pos + size))
-            pos += size
-            return view
-
-        q = config.q_order
-        cin = config.input_shape[0]
-        blocks = []
-        for i, (filters, k) in enumerate(zip(config.block_filters, config.kernel_sizes)):
-            kernels = take(f"block{i}.kernels", (q, filters, cin, k, k))
-            biases = take(f"block{i}.biases", (q, filters))
-            blocks.append(SelfOnnLayerParams(kernels, biases))
-            cin = filters
-        c, h, w = feature_map_chain(config)[-1]
-        hidden = DenseParams(take("hidden.weights", (config.dense_units, c * h * w)),
-                             take("hidden.bias", (config.dense_units,)))
-        output = DenseParams(take("output.weights", (config.classes, config.dense_units)),
-                             take("output.bias", (config.classes,)))
-        assert pos == expected
-        return cls(config, flat, blocks, hidden, output, tuple(offsets))
+                f"flat vector has shape {tuple(flat.shape)}, config needs ({sum(sizes)},)")
+        views = [part.reshape(shape) for part, shape
+                 in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
+        blocks = [SelfOnnLayerParams(*views[i:i + 2])
+                  for i in range(0, len(views) - 4, 2)]
+        return cls(config, flat, blocks, DenseParams(*views[-4:-2]),
+                   DenseParams(*views[-2:]))
 
     def flatten(self) -> Tensor:
         """Copy of the flat parameter vector."""
@@ -369,7 +350,7 @@ def model_backward(model: Model, cache: ForwardCache, grad_logits: Tensor,
         raise ConsistencyError("forward cache was already used by a backward pass")
     if grads is None:
         grads = np.zeros_like(model.flat)
-    gview = Model.from_flat(model.config, grads)  # same offsets as the model
+    gview = Model.from_flat(model.config, grads)  # same layout as the model
 
     g_hidden_act, gw, gb = ops.dense_backward(
         cache.hidden_activated, model.output.weights, grad_logits)
@@ -407,7 +388,7 @@ def model_backward(model: Model, cache: ForwardCache, grad_logits: Tensor,
 #   then       u16 x B  kernel sizes
 #   then       u16 x 2  dense units, classes
 #   then       u64      parameter count N
-#   then       f64 x N  parameters in flat-view order
+#   then       f64 x N  parameters in flat-view order (see _shapes)
 _MAGIC = b"SONN"
 _VERSION = 1
 

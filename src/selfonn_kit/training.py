@@ -1,5 +1,8 @@
 """Optimization loop: Adam, plateau LR decay, early stopping.
 
+The paper's protocol is fixed by the module constants: Adam (ADAM_*), the
+plateau schedule (LR_*) and early stopping (STOP_PATIENCE).
+
 The loop is single-threaded and fully deterministic for a given seed: the
 per-epoch shuffle comes from one seeded generator, and both callbacks see
 the validation loss in a fixed order (schedule first, then the stopper).
@@ -18,6 +21,14 @@ import numpy as np
 from . import ops
 from .model import Model, model_backward, model_forward
 from .ops import Tensor
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+LR_FACTOR = 0.5
+LR_PATIENCE = 3
+LR_FLOOR = 5e-5
+STOP_PATIENCE = 5
 
 
 class DivergenceError(RuntimeError):
@@ -45,9 +56,6 @@ class AdamState:
     m: Tensor
     v: Tensor
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     @classmethod
     def for_params(cls, n: int) -> "AdamState":
@@ -62,13 +70,13 @@ def adam_step(params: Tensor, grads: Tensor, state: AdamState,
             f"adam buffers disagree: params {tuple(params.shape)}, "
             f"grads {tuple(grads.shape)}, moments {tuple(state.m.shape)}")
     state.t += 1
-    state.m *= state.beta1
-    state.m += (1 - state.beta1) * grads
-    state.v *= state.beta2
-    state.v += (1 - state.beta2) * grads * grads
-    m_hat = state.m / (1 - state.beta1 ** state.t)
-    v_hat = state.v / (1 - state.beta2 ** state.t)
-    params -= learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    state.m *= ADAM_BETA1
+    state.m += (1 - ADAM_BETA1) * grads
+    state.v *= ADAM_BETA2
+    state.v += (1 - ADAM_BETA2) * grads * grads
+    m_hat = state.m / (1 - ADAM_BETA1 ** state.t)
+    v_hat = state.v / (1 - ADAM_BETA2 ** state.t)
+    params -= learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
 
 @dataclass
@@ -76,9 +84,6 @@ class LrSchedule:
     """Reduce-on-plateau state machine; feed it one validation loss per epoch."""
 
     learning_rate: float
-    factor: float = 0.5
-    patience: int = 3
-    floor: float = 5e-5
     best: float = np.inf
     stalled: int = 0
 
@@ -89,8 +94,8 @@ class LrSchedule:
             self.stalled = 0
             return False
         self.stalled += 1
-        if self.stalled >= self.patience and self.learning_rate > self.floor:
-            self.learning_rate = max(self.learning_rate * self.factor, self.floor)
+        if self.stalled >= LR_PATIENCE and self.learning_rate > LR_FLOOR:
+            self.learning_rate = max(self.learning_rate * LR_FACTOR, LR_FLOOR)
             self.stalled = 0
             return True
         return False
@@ -100,7 +105,6 @@ class LrSchedule:
 class EarlyStopper:
     """Tracks the best validation loss and the weights that produced it."""
 
-    patience: int = 5
     best: float = np.inf
     stalled: int = 0
     best_weights: Tensor | None = None
@@ -115,7 +119,7 @@ class EarlyStopper:
             self.best_epoch = epoch
             return False
         self.stalled += 1
-        return self.stalled >= self.patience
+        return self.stalled >= STOP_PATIENCE
 
     def restore(self, model: Model) -> None:
         if self.best_weights is not None:
@@ -223,9 +227,9 @@ def fit(model: Model, train_images, train_labels, val_images, val_labels,
     Each epoch: shuffle (seeded), accumulate mean gradients per batch, one
     Adam step per batch, then a full validation pass. The plateau schedule
     sees the validation loss first, the early stopper second, so an epoch
-    that triggers both still records its LR cut. Both keep their defaults,
-    the paper's protocol: halve the rate after 3 stalled epochs, down to
-    5e-5; stop after 5 epochs without a new best, restoring the best
+    that triggers both still records its LR cut. The rate is multiplied by
+    LR_FACTOR after LR_PATIENCE stalled epochs, down to LR_FLOOR; training
+    stops after STOP_PATIENCE epochs without a new best, restoring the best
     weights. `on_epoch`, if given, is called with each EpochRecord as it is
     produced.
     """
@@ -260,6 +264,4 @@ def fit(model: Model, train_images, train_labels, val_images, val_labels,
             stopped = True
             break
     stopper.restore(model)
-    best_epoch = stopper.best_epoch if stopper.best_epoch >= 0 else len(history) - 1
-    best_val = stopper.best if np.isfinite(stopper.best) else history[-1].val_loss
-    return FitResult(history, best_epoch, float(best_val), stopped)
+    return FitResult(history, stopper.best_epoch, float(stopper.best), stopped)

@@ -1,4 +1,5 @@
 import logging
+import os
 import re
 import subprocess
 import sys
@@ -456,7 +457,10 @@ class TestLogging:
 
 class TestConsoleScript:
     def test_installed_entry_point(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-m", "selfonn_kit", "params"],
+                              env=dict(os.environ, PYTHONPATH=path),
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0
         assert "293027" in proc.stdout

@@ -271,12 +271,17 @@ class TestLoadDataset:
         assert len(ds) == 4
         assert ds.images[0].shape == (1, 4, 4)
         assert ds.labels.tolist() == [0, 1, 2, 0]
-        assert ds.normalization_bounds is None
+        for i, image in enumerate(ds.images):
+            raw = d.load_pgm16(tmp_path / f"img{i}.pgm")
+            assert np.array_equal(image[0], d.normalize_minmax(raw))
 
     def test_shared_bounds(self, tmp_path):
         manifest = self.make_corpus(tmp_path)
         ds = d.load_dataset(manifest, shared_bounds=True)
-        assert ds.normalization_bounds == (0.0, 4000.0)
+        for i, image in enumerate(ds.images):
+            raw = d.load_pgm16(tmp_path / f"img{i}.pgm")
+            assert np.array_equal(image[0],
+                                  d.normalize_minmax(raw, bounds=(0.0, 4000.0)))
         # the brightest pixel of the dimmest image is far below 1
         assert ds.images[0].max() < 0.5
 
@@ -290,6 +295,12 @@ class TestLoadDataset:
                                     shapes=((4, 4), (4, 4), (4, 6), (4, 4)))
         with pytest.raises(d.ManifestError, match="img2.pgm"):
             d.load_dataset(manifest)
+
+    def test_odd_size_under_half_names_file(self, tmp_path):
+        manifest = self.make_corpus(tmp_path,
+                                    shapes=((4, 4), (17, 20), (4, 4), (4, 4)))
+        with pytest.raises(d.ManifestError, match="img1.pgm.*17x20"):
+            d.load_dataset(manifest, half_resolution=True)
 
     def test_missing_image_names_file(self, tmp_path):
         manifest = tmp_path / "manifest.tsv"

@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import numpy as np
@@ -261,6 +262,13 @@ class TestWeightFiles:
         loaded = sm.load_weights(path, REDUCED)
         assert loaded.config == REDUCED
         assert np.array_equal(loaded.flat, m.flat)
+
+    def test_golden_file_bytes(self):
+        # Pins the header, the flat layout order and the init draw order.
+        raw = self.roundtrip(sm.build_model(REDUCED, 21)).getvalue()
+        assert len(raw) == 1152
+        assert hashlib.sha256(raw).hexdigest() == (
+            "45747747cea069dd4dcb253599c95d3ee0751f491d9afaaa4dc172dfe64a7a94")
 
     def test_load_without_expected_config(self):
         m = sm.build_model(reduced(3), 2)

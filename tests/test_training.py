@@ -107,14 +107,14 @@ class TestPlateauSchedule:
 class TestEarlyStopper:
     def test_constant_loss_stops_after_patience(self):
         m = build_model(TINY, 0)
-        stop = EarlyStopper(patience=5)
+        stop = EarlyStopper()
         decisions = [stop.update(1.0, m, e) for e in range(6)]
         assert decisions == [False, False, False, False, False, True]
         assert stop.best_epoch == 0
 
     def test_improvements_postpone_stopping(self):
         m = build_model(TINY, 0)
-        stop = EarlyStopper(patience=2)
+        stop = EarlyStopper()
         for e, loss in enumerate((3.0, 2.0, 2.5, 1.5)):
             assert not stop.update(loss, m, e)
         assert stop.best_epoch == 3
@@ -122,7 +122,7 @@ class TestEarlyStopper:
 
     def test_restore_brings_back_best_weights(self):
         m = build_model(TINY, 1)
-        stop = EarlyStopper(patience=3)
+        stop = EarlyStopper()
         stop.update(1.0, m, 0)
         best = m.flatten()
         m.flat += 5.0
