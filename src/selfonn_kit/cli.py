@@ -456,6 +456,9 @@ def _train_and_write(cfg: RunConfig, config: ModelConfig, dataset: Dataset,
 
 
 def _load_split_data(cfg: RunConfig):
+    if cfg.k < 3:
+        # each round needs distinct test and validation folds and one to train on
+        raise UsageError(f"--k must be >= 3 to train or evaluate, got {cfg.k}")
     dataset = load_dataset(_manifest(cfg),
                            half_resolution=cfg.half_resolution,
                            shared_bounds=cfg.normalization == "dataset")
@@ -511,11 +514,12 @@ def cmd_eval(cfg: RunConfig) -> int:
         raise UsageError("eval needs --weights (or [eval] weights)")
     model = load_weights(cfg.weights)
     dataset, splits = _load_split_data(cfg)
-    data_shape = tuple(dataset.images[0].shape)
-    if model.config.input_shape != data_shape:
+    stored = (model.config.input_shape, model.config.classes)
+    wanted = (tuple(dataset.images[0].shape), len(CLASS_NAMES))
+    if stored != wanted:
         raise WeightFileError(
-            f"weights expect input {model.config.input_shape}, data is "
-            f"{data_shape}")
+            f"weights expect input {stored[0]} with {stored[1]} classes, "
+            f"data is {wanted[0]} with {wanted[1]} classes")
     if cfg.fold_selector == "all":
         images, labels = dataset.images, dataset.labels
         scope = "manifest"

@@ -74,15 +74,12 @@ class MetricReport:
     weighted_precision: float
     weighted_recall: float
     weighted_f1: float
-    undefined_precision: tuple[int, ...]   # classes never predicted
-    undefined_recall: tuple[int, ...]      # classes with zero support
 
 
 def metric_report(matrix: ConfusionMatrix) -> MetricReport:
     """Derive all rates from one confusion matrix.
 
-    Zero-denominator rates are reported as 0.0 and the affected classes are
-    listed so callers can tell a genuine zero from an undefined one.
+    Zero-denominator rates are reported as 0.0.
     """
     counts = matrix.counts
     n = matrix.n_classes
@@ -92,18 +89,9 @@ def metric_report(matrix: ConfusionMatrix) -> MetricReport:
     total = matrix.total
 
     precision, recall, f1 = [], [], []
-    undef_p, undef_r = [], []
     for c in range(n):
-        if col[c] == 0:
-            undef_p.append(c)
-            p = 0.0
-        else:
-            p = diag[c] / col[c]
-        if row[c] == 0:
-            undef_r.append(c)
-            r = 0.0
-        else:
-            r = diag[c] / row[c]
+        p = 0.0 if col[c] == 0 else diag[c] / col[c]
+        r = 0.0 if row[c] == 0 else diag[c] / row[c]
         precision.append(float(p))
         recall.append(float(r))
         f1.append(0.0 if p + r == 0 else float(2 * p * r / (p + r)))
@@ -124,8 +112,6 @@ def metric_report(matrix: ConfusionMatrix) -> MetricReport:
         # equality bit-exact.
         weighted_recall=accuracy,
         weighted_f1=float(np.dot(weights, f1)),
-        undefined_precision=tuple(undef_p),
-        undefined_recall=tuple(undef_r),
     )
 
 

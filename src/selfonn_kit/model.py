@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -34,19 +35,7 @@ class ConfigError(ValueError):
 
 
 class WeightFileError(ValueError):
-    """Base class for weight-file load failures."""
-
-
-class WeightHeaderError(WeightFileError):
-    """Bad magic, unsupported version, or malformed header."""
-
-
-class WeightTruncatedError(WeightFileError):
-    """File ends before the declared payload."""
-
-
-class WeightConfigMismatch(WeightFileError):
-    """Stored configuration differs from the expected one."""
+    """A weight file is malformed, truncated, extended or does not fit."""
 
 
 @dataclass(frozen=True)
@@ -389,76 +378,68 @@ def model_backward(model: Model, cache: ForwardCache, grad_logits: Tensor,
 #   then       u16 x 2  dense units, classes
 #   then       u64      parameter count N
 #   then       f64 x N  parameters in flat-view order (see _shapes)
+# and nothing follows the parameters.
 _MAGIC = b"SONN"
 _VERSION = 1
+_FIXED = "<4sHHHHHH"   # magic through B
 
 
-def _pack_header(config: ModelConfig, n_params: int) -> bytes:
-    b = len(config.block_filters)
-    parts = [struct.pack("<4sHHHHH", _MAGIC, _VERSION, config.q_order,
-                         *config.input_shape)]
-    parts.append(struct.pack("<H", b))
-    parts.append(struct.pack(f"<{b}H", *config.block_filters))
-    parts.append(struct.pack(f"<{b}H", *config.kernel_sizes))
-    parts.append(struct.pack("<HHQ", config.dense_units, config.classes, n_params))
-    return b"".join(parts)
+def _header(n_blocks: int) -> struct.Struct:
+    """The whole header of a file with `n_blocks` blocks."""
+    return struct.Struct(f"{_FIXED}{n_blocks}H{n_blocks}HHHQ")
 
 
-def save_weights(model: Model, destination) -> None:
-    """Write the model to `destination` (path or binary file object)."""
-    payload = _pack_header(model.config, model.n_params) \
-        + model.flat.astype("<f8").tobytes()
-    if hasattr(destination, "write"):
-        destination.write(payload)
-    else:
-        with open(destination, "wb") as fh:
-            fh.write(payload)
+def save_weights(model: Model, path) -> None:
+    """Write the model to `path`."""
+    cfg = model.config
+    b = len(cfg.block_filters)
+    header = _header(b).pack(_MAGIC, _VERSION, cfg.q_order, *cfg.input_shape, b,
+                             *cfg.block_filters, *cfg.kernel_sizes,
+                             cfg.dense_units, cfg.classes, model.n_params)
+    Path(path).write_bytes(header + model.flat.astype("<f8").tobytes())
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise WeightTruncatedError(
-            f"file ends inside {what}: wanted {n} bytes, got {len(data)}")
-    return data
-
-
-def load_weights(source, config: ModelConfig | None = None) -> Model:
-    """Read a weight file; if `config` is given, the header must match it."""
-    if hasattr(source, "read"):
-        return _load_from(source, config)
-    with open(source, "rb") as fh:
-        return _load_from(fh, config)
-
-
-def _load_from(fh, config: ModelConfig | None) -> Model:
-    head = _read_exact(fh, 16, "fixed header")
-    magic, version, q_order, c, h, w, n_blocks = struct.unpack("<4sHHHHHH", head)
+def load_weights(path) -> Model:
+    """Read a weight file; any defect raises WeightFileError."""
+    raw = Path(path).read_bytes()
+    fixed = struct.calcsize(_FIXED)
+    if len(raw) < fixed:
+        raise WeightFileError(
+            f"file ends inside fixed header: wanted {fixed} bytes, got {len(raw)}")
+    magic, version, q_order, c, h, w, b = struct.unpack_from(_FIXED, raw)
     if magic != _MAGIC:
-        raise WeightHeaderError(f"bad magic {magic!r}, expected {_MAGIC!r}")
+        raise WeightFileError(f"bad magic {magic!r}, expected {_MAGIC!r}")
     if version != _VERSION:
-        raise WeightHeaderError(f"unsupported format version {version}")
-    if n_blocks < 1:
-        raise WeightHeaderError("header declares zero blocks")
-    body = _read_exact(fh, 2 * n_blocks * 2 + 12, "config block")
-    filters = struct.unpack_from(f"<{n_blocks}H", body, 0)
-    kernels = struct.unpack_from(f"<{n_blocks}H", body, 2 * n_blocks)
-    dense_units, classes, n_params = struct.unpack_from("<HHQ", body, 4 * n_blocks)
+        raise WeightFileError(f"unsupported format version {version}")
+    if b < 1:
+        raise WeightFileError("header declares zero blocks")
+    header = _header(b)
+    if len(raw) < header.size:
+        raise WeightFileError(
+            f"file ends inside config block: wanted {header.size - fixed} "
+            f"bytes, got {len(raw) - fixed}")
+    fields = header.unpack_from(raw)
+    filters, kernels = fields[7:7 + b], fields[7 + b:-3]
+    dense_units, classes, n_params = fields[-3:]
     try:
         stored = ModelConfig(q_order=q_order, input_shape=(c, h, w),
                              block_filters=filters, kernel_sizes=kernels,
                              dense_units=dense_units, classes=classes)
     except ConfigError as exc:
-        raise WeightHeaderError(f"stored configuration is invalid: {exc}") from exc
+        raise WeightFileError(f"stored configuration is invalid: {exc}") from exc
     if n_params != param_count(stored):
-        raise WeightHeaderError(
+        raise WeightFileError(
             f"header declares {n_params} parameters, configuration needs "
             f"{param_count(stored)}")
-    if config is not None and stored != config:
-        raise WeightConfigMismatch(
-            f"stored configuration {stored} does not match expected {config}")
-    raw = _read_exact(fh, 8 * n_params, "parameter payload")
-    flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    have, need = len(raw) - header.size, 8 * n_params
+    if have < need:
+        raise WeightFileError(
+            f"file ends inside parameter payload: wanted {need} bytes, got {have}")
+    if have > need:
+        raise WeightFileError(
+            f"{have - need} trailing bytes after parameter payload ending at "
+            f"byte {header.size + need}")
+    flat = np.frombuffer(raw, dtype="<f8", offset=header.size).astype(np.float64)
     if not np.all(np.isfinite(flat)):
         raise WeightFileError("parameter payload contains non-finite values")
     return Model.from_flat(stored, flat)

