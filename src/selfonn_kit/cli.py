@@ -220,7 +220,7 @@ SETTINGS = (
 )
 
 
-def _validate(cfg) -> None:
+def _validate(cfg, command: str) -> None:
     for s in SETTINGS:
         if s.least is None:
             continue
@@ -244,6 +244,11 @@ def _validate(cfg) -> None:
             "kernel sizes")
     if not (math.isfinite(cfg.lr) and cfg.lr > 0):
         raise UsageError(f"--lr must be a positive number, got {cfg.lr}")
+    if command == "eval" and not cfg.weights:
+        raise UsageError("eval needs --weights (or [eval] weights)")
+    if command in ("train", "crossval", "eval") and cfg.k < 3:
+        # each round needs distinct test and validation folds and one to train on
+        raise UsageError(f"--k must be >= 3 to train or evaluate, got {cfg.k}")
 
 
 RunConfig = make_dataclass(
@@ -294,7 +299,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         if text is not None:
             values[s.field] = _convert(s, text, s.flag)
     cfg = RunConfig(**values, given=frozenset(values))
-    cfg.validate()
+    cfg.validate(args.command)
     return cfg
 
 
@@ -392,15 +397,15 @@ def cmd_synth(cfg: RunConfig) -> int:
              f"root seed: {cfg.seed}", ""]
     lines.append(f"{'class':<14}  {'count':>5}  {'mean C':>8}  {'std C':>8}  "
                  f"{'min C':>8}  {'max C':>8}")
+    # one (mean, std, min, max) row per image, not a class of whole maps
+    stats = {name: [] for name in CLASS_NAMES}
+    for r in records:
+        t = pixel_to_temperature(load_pgm16(out / r.path).pixels)
+        stats[r.class_name].append((t.mean(), t.std(), t.min(), t.max()))
     for name in CLASS_NAMES:
-        temps = [pixel_to_temperature(load_pgm16(out / r.path).pixels)
-                 for r in records if r.class_name == name]
-        means = [t.mean() for t in temps]
-        stds = [t.std() for t in temps]
-        lo = min(t.min() for t in temps)
-        hi = max(t.max() for t in temps)
-        lines.append(f"{name:<14}  {len(temps):>5}  {np.mean(means):>8.2f}  "
-                     f"{np.mean(stds):>8.2f}  {lo:>8.2f}  {hi:>8.2f}")
+        means, stds, lo, hi = zip(*stats[name])
+        lines.append(f"{name:<14}  {len(means):>5}  {np.mean(means):>8.2f}  "
+                     f"{np.mean(stds):>8.2f}  {min(lo):>8.2f}  {max(hi):>8.2f}")
     report = "\n".join(lines) + "\n"
     (out / "synth_report.txt").write_text(report)
     print(f"manifest: {manifest}")
@@ -421,13 +426,6 @@ def cmd_split(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _fold_paths(out: Path, q: int, fold: int) -> dict[str, Path]:
-    stem = f"q{q}_fold{fold}"
-    return {"weights": out / f"{stem}.sonn",
-            "epochs": out / f"{stem}_epochs.tsv",
-            "report": out / f"{stem}_report.txt"}
-
-
 def _train_and_write(cfg: RunConfig, config: ModelConfig, dataset: Dataset,
                      split: CvSplit, out: Path) -> tuple[FoldRun, MetricReport]:
     """train_fold with the run's settings, then write the round's artifacts.
@@ -437,9 +435,9 @@ def _train_and_write(cfg: RunConfig, config: ModelConfig, dataset: Dataset,
     """
     run = train_fold(config, dataset, split, cfg.seed, epochs=cfg.epochs,
                      batch=cfg.batch, lr=cfg.lr)
-    paths = _fold_paths(out, run.model.config.q_order, split.test_fold)
-    save_weights(run.model, paths["weights"])
-    write_epoch_log(run.result.history, paths["epochs"])
+    stem = out / f"q{config.q_order}_fold{split.test_fold}"
+    save_weights(run.model, f"{stem}.sonn")
+    write_epoch_log(run.result.history, f"{stem}_epochs.tsv")
     report = metric_report(confusion(run.test_labels, run.predictions,
                                      len(CLASS_NAMES)))
     body = [f"test_fold {split.test_fold}",
@@ -451,14 +449,11 @@ def _train_and_write(cfg: RunConfig, config: ModelConfig, dataset: Dataset,
             f"test_loss {_fmt(run.test_loss)}", "",
             format_confusion(report.matrix, CLASS_NAMES), "",
             format_metric_table(report, CLASS_NAMES)]
-    paths["report"].write_text("\n".join(body) + "\n")
+    Path(f"{stem}_report.txt").write_text("\n".join(body) + "\n")
     return run, report
 
 
 def _load_split_data(cfg: RunConfig):
-    if cfg.k < 3:
-        # each round needs distinct test and validation folds and one to train on
-        raise UsageError(f"--k must be >= 3 to train or evaluate, got {cfg.k}")
     dataset = load_dataset(_manifest(cfg),
                            half_resolution=cfg.half_resolution,
                            shared_bounds=cfg.normalization == "dataset")
@@ -491,12 +486,12 @@ def cmd_crossval(cfg: RunConfig) -> int:
         reports.append(report)
         print(f"fold {split.test_fold}: test accuracy {report.accuracy:.6f}")
     agg = aggregate_folds(reports)
-    recalls = [r.weighted_recall for r in reports]
     lines = [f"q {cfg.q_order}",
              f"folds {agg.n_folds}",
              f"accuracy_mean {_fmt(agg.accuracy_mean)}",
              f"accuracy_std {_fmt(agg.accuracy_std)}",
-             f"weighted_recall_mean {_fmt(float(np.mean(recalls)))}",
+             # weighted recall equals accuracy in every report
+             f"weighted_recall_mean {_fmt(agg.accuracy_mean)}",
              f"macro_f1_mean {_fmt(agg.macro_f1_mean)}",
              f"macro_f1_std {_fmt(agg.macro_f1_std)}",
              f"pooled_accuracy {_fmt(agg.pooled_accuracy)}", "",
@@ -510,8 +505,6 @@ def cmd_crossval(cfg: RunConfig) -> int:
 
 def cmd_eval(cfg: RunConfig) -> int:
     """evaluate saved weights on a fold or manifest"""
-    if not cfg.weights:
-        raise UsageError("eval needs --weights (or [eval] weights)")
     model = load_weights(cfg.weights)
     dataset, splits = _load_split_data(cfg)
     stored = (model.config.input_shape, model.config.classes)

@@ -82,28 +82,26 @@ def metric_report(matrix: ConfusionMatrix) -> MetricReport:
     Zero-denominator rates are reported as 0.0.
     """
     counts = matrix.counts
-    n = matrix.n_classes
     diag = np.diag(counts)
     row = counts.sum(axis=1)   # support per true class
     col = counts.sum(axis=0)   # predictions per class
     total = matrix.total
 
-    precision, recall, f1 = [], [], []
-    for c in range(n):
-        p = 0.0 if col[c] == 0 else diag[c] / col[c]
-        r = 0.0 if row[c] == 0 else diag[c] / row[c]
-        precision.append(float(p))
-        recall.append(float(r))
-        f1.append(0.0 if p + r == 0 else float(2 * p * r / (p + r)))
+    def ratio(num, den):
+        return np.divide(num, den, out=np.zeros(len(num)), where=den != 0)
+
+    precision = ratio(diag, col)
+    recall = ratio(diag, row)
+    f1 = ratio(2 * precision * recall, precision + recall)
 
     accuracy = int(diag.sum()) / total
     weights = row / total
     return MetricReport(
         matrix=matrix,
         accuracy=accuracy,
-        precision=tuple(precision),
-        recall=tuple(recall),
-        f1=tuple(f1),
+        precision=tuple(precision.tolist()),
+        recall=tuple(recall.tolist()),
+        f1=tuple(f1.tolist()),
         macro_precision=float(np.mean(precision)),
         macro_recall=float(np.mean(recall)),
         macro_f1=float(np.mean(f1)),

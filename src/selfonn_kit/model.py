@@ -259,10 +259,6 @@ def selfonn_backward(layer: SelfOnnLayerParams, stack: Tensor, grad_out: Tensor,
     directly since its factor is one.
     """
     q_order, cout, cin, kh, kw = layer.kernels.shape
-    if stack.shape[-3] != q_order * cin:
-        raise ConsistencyError(
-            f"power stack has {stack.shape[-3]} channels, layer needs "
-            f"{q_order} x {cin}")
     lead = stack.shape[:-3]
     gw = ops.conv2d_backward_weights(stack, grad_out)
     grad_kernels = gw.reshape(*lead, cout, q_order, cin, kh, kw).swapaxes(-5, -4)
@@ -286,7 +282,8 @@ class BlockCache:
 
 @dataclass
 class ForwardCache:
-    blocks: list[BlockCache | None]   # an entry is None once backward used it
+    config: ModelConfig       # the configuration of the pass that made it
+    blocks: list[BlockCache]  # backward pops each entry once done with it
     flat_input: Tensor        # flattened final pooled map
     hidden_activated: Tensor
 
@@ -315,7 +312,7 @@ def model_forward(model: Model, x: Tensor,
     hidden_act = ops.dense_forward(flat_in, model.hidden.weights, model.hidden.bias)
     ops.tanh_forward(hidden_act, out=hidden_act)
     logits = ops.dense_forward(hidden_act, model.output.weights, model.output.bias)
-    cache = ForwardCache(block_caches, flat_in, hidden_act) if train_mode else None
+    cache = ForwardCache(cfg, block_caches, flat_in, hidden_act) if train_mode else None
     return logits, cache
 
 
@@ -329,13 +326,13 @@ def model_backward(model: Model, cache: ForwardCache, grad_logits: Tensor,
     sample order, to `grads` (in place) or to a new zero buffer, so several
     passes can share one running total. grad_input is the gradient w.r.t.
     the network input, shaped like that input, or None when `input_grad` is
-    False (training never uses it). The pass consumes the cache: it
-    overwrites the cached activations and releases each block's entry once
-    done with it.
+    False (training never uses it). The cache must come from a forward pass
+    of the same configuration; the pass consumes it, overwriting the cached
+    activations and popping each block's entry once done with it.
     """
-    if cache is None or len(cache.blocks) != len(model.blocks):
+    if cache is None or cache.config != model.config:
         raise ConsistencyError("forward cache does not match this model")
-    if any(bc is None for bc in cache.blocks):
+    if len(cache.blocks) != len(model.blocks):
         raise ConsistencyError("forward cache was already used by a backward pass")
     if grads is None:
         grads = np.zeros_like(model.flat)
@@ -355,8 +352,7 @@ def model_backward(model: Model, cache: ForwardCache, grad_logits: Tensor,
 
     g = g_flat.reshape(*g_flat.shape[:-1], *feature_map_chain(model.config)[-1])
     for i in range(len(model.blocks) - 1, -1, -1):
-        bc = cache.blocks[i]
-        cache.blocks[i] = None
+        bc = cache.blocks.pop()
         # The pool gradient is a temporary: freed before the conv adjoints run.
         g_pre = ops.tanh_backward(bc.activated, ops.maxpool2x2_backward(g, bc.activated),
                                   out=bc.activated)

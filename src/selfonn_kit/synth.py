@@ -75,6 +75,16 @@ def pixel_to_temperature(pixels: np.ndarray) -> np.ndarray:
     return np.asarray(pixels, dtype=np.float64) / 65535.0 * (hi - lo) + lo
 
 
+# Class hotspots on the unit image square, one (cy, cx, sy, sx, amplitude) row
+# each; every image jitters the centres and scales the rest.
+HOTSPOTS: dict[str, tuple[tuple[float, ...], ...]] = {
+    "healthy": ((0.52, 0.50, 0.09, 0.11, 0.35),),
+    "misalignment": ((0.42, 0.76, 0.07, 0.09, 1.25),
+                     (0.64, 0.68, 0.08, 0.10, 0.70)),
+    "broken_rotor": ((0.50, 0.45, 0.055, 0.34, 1.15),),
+}
+
+
 def _gaussian(yy, xx, cy, cx, sy, sx, amp):
     return amp * np.exp(-0.5 * (((yy - cy) / sy) ** 2 + ((xx - cx) / sx) ** 2))
 
@@ -96,19 +106,9 @@ def _render_pattern(class_name: str, height: int, width: int,
                         scale(1.0))
     pattern += scale(0.15) * yy
 
-    if class_name == "healthy":
-        pattern += _gaussian(yy, xx, jit(0.52), jit(0.50), scale(0.09),
-                             scale(0.11), scale(0.35))
-    elif class_name == "misalignment":
-        pattern += _gaussian(yy, xx, jit(0.42), jit(0.76), scale(0.07),
-                             scale(0.09), scale(1.25))
-        pattern += _gaussian(yy, xx, jit(0.64), jit(0.68), scale(0.08),
-                             scale(0.10), scale(0.70))
-    elif class_name == "broken_rotor":
-        pattern += _gaussian(yy, xx, jit(0.50), jit(0.45), scale(0.055),
-                             scale(0.34), scale(1.15))
-    else:
-        raise ValueError(f"unknown class {class_name!r}")
+    for cy, cx, sy, sx, amp in HOTSPOTS[class_name]:
+        pattern += _gaussian(yy, xx, jit(cy), jit(cx), scale(sy), scale(sx),
+                             scale(amp))
 
     pattern += rng.normal(0.0, 0.04, size=pattern.shape)
     lo, hi = pattern.min(), pattern.max()

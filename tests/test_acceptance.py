@@ -217,6 +217,7 @@ def test_criterion_05_metrics_oracle(capsys):
             ok, f"accuracy {report.accuracy:.10f}, {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_06_desk_scale_learning(capsys, tmp_path):
     start = time.perf_counter()
     manifest = sy.synth_generate(

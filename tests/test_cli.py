@@ -197,7 +197,8 @@ class TestExitCodes:
         ["bench", "--bench-images", "0"], ["bench", "--warmup", "-1"],
         ["train", "--dense", "0"], ["train", "--filters", "4,0,4"],
         ["train", "--kernels", "5,0,2"], ["train", "--k", "2"],
-        ["crossval", "--k", "2"]],
+        ["crossval", "--k", "2"],
+        ["eval", "--k", "2", "--weights", "ghost.sonn"]],
         ids=lambda argv: f"{argv[0]}{argv[1]}={argv[2]}")
     def test_bad_setting_rejected_before_data(self, argv, tmp_path, capsys):
         # The manifest does not exist: reading it would exit with EXIT_IO.

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 
@@ -152,13 +153,6 @@ class TestGenerativeLayer:
                    for qi in range(q))
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
-    def test_backward_rejects_stale_stack(self):
-        r = np.random.default_rng(0)
-        layer = sm.SelfOnnLayerParams(r.standard_normal((2, 1, 1, 2, 2)),
-                                      np.zeros((2, 1)))
-        with pytest.raises(ops.ConsistencyError):
-            sm.selfonn_backward(layer, np.zeros((3, 4, 4)), np.zeros((1, 3, 3)))
-
     def test_layer_param_validation(self):
         with pytest.raises(ops.DimensionError):
             sm.SelfOnnLayerParams(np.zeros((2, 3, 1, 2, 2)), np.zeros((2, 4)))
@@ -182,10 +176,25 @@ class TestFullModel:
         with pytest.raises(ops.DimensionError):
             sm.model_forward(m, np.zeros((1, 16, 17)))
 
-    def test_backward_needs_matching_cache(self):
+    @pytest.mark.parametrize("other", [None, reduced(3),
+                                       dataclasses.replace(REDUCED, dense_units=5)],
+                             ids=["none", "other-order", "other-dense"])
+    def test_backward_needs_matching_cache(self, other):
+        # the check runs before the pass writes into the cache
+        cache = None
+        if other is not None:
+            x = np.random.default_rng(0).random(other.input_shape)
+            _, cache = sm.model_forward(sm.build_model(other, 4), x,
+                                        train_mode=True)
+            kept = [bc.activated.copy() for bc in cache.blocks]
+            hidden = cache.hidden_activated.copy()
         m = sm.build_model(REDUCED, 3)
-        with pytest.raises(ops.ConsistencyError):
-            sm.model_backward(m, None, np.zeros(3))
+        with pytest.raises(ops.ConsistencyError, match="does not match this model"):
+            sm.model_backward(m, cache, np.zeros(3))
+        if cache is not None:
+            assert np.array_equal(cache.hidden_activated, hidden)
+            assert all(np.array_equal(bc.activated, a)
+                       for bc, a in zip(cache.blocks, kept, strict=True))
 
     def test_backward_consumes_the_cache(self):
         m = sm.build_model(REDUCED, 3)

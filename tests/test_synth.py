@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,16 @@ class TestRenderImage:
         other_seed = s.render_image("healthy", small_config(seed=8), 0)
         assert not np.array_equal(base.pixels, other_index.pixels)
         assert not np.array_equal(base.pixels, other_seed.pixels)
+
+    def test_golden_digest(self):
+        # pins every RNG draw and the hotspot geometry of all three classes
+        cfg = small_config(seed=5)
+        digest = hashlib.sha256()
+        for name in d.CLASS_NAMES:
+            for i in range(cfg.per_class):
+                digest.update(d.pgm16_bytes(s.render_image(name, cfg, i)))
+        assert digest.hexdigest() == (
+            "07a4e8ee041fd75c9b10f28f9566573976ad3e90e66aaa8bcb37683bc559bf8c")
 
     def test_unknown_class(self):
         with pytest.raises(ValueError, match="unknown class"):
