@@ -21,7 +21,8 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from selfonn_kit.cli import paired_cv_study
-from selfonn_kit.data import load_dataset, make_cv_splits, stratified_ordered_kfold
+from selfonn_kit.data import (CLASS_NAMES, load_dataset, make_cv_splits,
+                              stratified_ordered_kfold)
 from selfonn_kit.model import ModelConfig
 from selfonn_kit.synth import SynthConfig, synth_generate
 
@@ -64,7 +65,7 @@ def main():
 
     config = ModelConfig(input_shape=tuple(dataset.images[0].shape),
                          block_filters=(4, 4, 4), kernel_sizes=(5, 3, 2),
-                         dense_units=16, classes=3)
+                         dense_units=16, classes=len(CLASS_NAMES))
     start = time.perf_counter()
     # (seed, q) -> fold accuracies
     results = paired_cv_study(config, dataset, splits, range(args.seeds),

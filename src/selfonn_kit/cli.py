@@ -185,30 +185,30 @@ SETTINGS = (
             "min/max scope for pixel scaling: image or dataset"),
     Setting("half_resolution", False, "run", "half_resolution", "--half",
             None, _parse_bool, None, "halve image resolution when loading"),
-    Setting("q_order", 1, "model", "q", "--q", None, int, None,
-            "polynomial order Q, 1..10"),
-    Setting("filters", (8, 8, 8), "model", "filters", "--filters", None,
+    Setting("q_order", ModelConfig.q_order, "model", "q", "--q", None, int,
+            None, "polynomial order Q, 1..10"),
+    Setting("filters", ModelConfig.block_filters, "model", "filters", "--filters", None,
             _parse_int_tuple, 1, "filters per block, comma-separated"),
-    Setting("kernels", (5, 3, 2), "model", "kernels", "--kernels", None,
+    Setting("kernels", ModelConfig.kernel_sizes, "model", "kernels", "--kernels", None,
             _parse_int_tuple, 1, "kernel size per block, comma-separated"),
-    Setting("dense_units", 32, "model", "dense", "--dense", None, int, 1,
-            "hidden dense units"),
-    Setting("input_height", 256, "model", "input_height", "--input-height",
-            None, int, None, "input rows when no data is loaded"),
-    Setting("input_width", 320, "model", "input_width", "--input-width",
-            None, int, None, "input columns when no data is loaded"),
-    Setting("epochs", 300, "train", "epochs", "--epochs", None, int, 1,
-            "epoch budget"),
-    Setting("batch", 16, "train", "batch", "--batch", None, int, 1,
-            "batch size"),
-    Setting("lr", 1e-3, "train", "lr", "--lr", None, float, None,
-            "initial learning rate"),
-    Setting("per_class", 300, "synth", "per_class", "--per-class",
-            ("synth",), int, 1, "images per class"),
-    Setting("synth_height", 128, "synth", "height", "--height", ("synth",),
-            int, 8, "generated image rows"),
-    Setting("synth_width", 160, "synth", "width", "--width", ("synth",),
-            int, 8, "generated image columns"),
+    Setting("dense_units", ModelConfig.dense_units, "model", "dense",
+            "--dense", None, int, 1, "hidden dense units"),
+    Setting("input_height", ModelConfig.input_shape[1], "model", "input_height",
+            "--input-height", None, int, None, "input rows when no data is loaded"),
+    Setting("input_width", ModelConfig.input_shape[2], "model", "input_width",
+            "--input-width", None, int, None, "input columns when no data is loaded"),
+    Setting("epochs", TrainConfig.max_epochs, "train", "epochs", "--epochs",
+            None, int, 1, "epoch budget"),
+    Setting("batch", TrainConfig.batch_size, "train", "batch", "--batch",
+            None, int, 1, "batch size"),
+    Setting("lr", TrainConfig.learning_rate, "train", "lr", "--lr", None,
+            float, None, "initial learning rate"),
+    Setting("per_class", SynthConfig.per_class, "synth", "per_class",
+            "--per-class", ("synth",), int, 1, "images per class"),
+    Setting("synth_height", SynthConfig.height, "synth", "height",
+            "--height", ("synth",), int, 8, "generated image rows"),
+    Setting("synth_width", SynthConfig.width, "synth", "width", "--width",
+            ("synth",), int, 8, "generated image columns"),
     Setting("weights", None, "eval", "weights", "--weights", ("eval",), str,
             None, "weight file to load"),
     Setting("bench_images", 3, "bench", "images", "--bench-images",
@@ -246,6 +246,8 @@ def _validate(cfg, command: str) -> None:
         raise UsageError(f"--lr must be a positive number, got {cfg.lr}")
     if command == "eval" and not cfg.weights:
         raise UsageError("eval needs --weights (or [eval] weights)")
+    if command == "crossval" and cfg.fold_selector != "all":
+        raise UsageError(f"--folds must be all for crossval, got {cfg.fold_selector}")
     if command in ("train", "crossval", "eval") and cfg.k < 3:
         # each round needs distinct test and validation folds and one to train on
         raise UsageError(f"--k must be >= 3 to train or evaluate, got {cfg.k}")

@@ -23,11 +23,12 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import ops
-from .ops import ConsistencyError, DimensionError, Tensor
+from .ops import DimensionError, Tensor
 
 
 class ConfigError(ValueError):
@@ -36,6 +37,10 @@ class ConfigError(ValueError):
 
 class WeightFileError(ValueError):
     """A weight file is malformed, truncated, extended or does not fit."""
+
+
+class ConsistencyError(RuntimeError):
+    """A forward cache does not match the model, or a backward pass used it."""
 
 
 @dataclass(frozen=True)
@@ -101,39 +106,20 @@ def param_count(config: ModelConfig) -> int:
     return sum(math.prod(shape) for shape in _shapes(config))
 
 
-@dataclass
-class SelfOnnLayerParams:
+class SelfOnnLayerParams(NamedTuple):
     """One generative layer: kernels[q,o,c,r,t] and per-order biases[q,o]."""
 
     kernels: Tensor  # (Q, Cout, Cin, Kh, Kw)
     biases: Tensor   # (Q, Cout)
-
-    def __post_init__(self):
-        if self.kernels.ndim != 5 or self.biases.ndim != 2:
-            raise DimensionError(
-                f"kernels must be 5-D and biases 2-D, got "
-                f"{tuple(self.kernels.shape)} and {tuple(self.biases.shape)}")
-        if self.kernels.shape[0] != self.biases.shape[0] \
-                or self.kernels.shape[1] != self.biases.shape[1]:
-            raise DimensionError(
-                f"kernels {tuple(self.kernels.shape)} and biases "
-                f"{tuple(self.biases.shape)} disagree on Q or Cout")
 
     @property
     def q_order(self) -> int:
         return self.kernels.shape[0]
 
 
-@dataclass
-class DenseParams:
+class DenseParams(NamedTuple):
     weights: Tensor  # (U, D)
     bias: Tensor     # (U,)
-
-    def __post_init__(self):
-        if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[0],):
-            raise DimensionError(
-                f"dense weights {tuple(self.weights.shape)} and bias "
-                f"{tuple(self.bias.shape)} do not fit")
 
 
 @dataclass
@@ -214,15 +200,17 @@ def power_stack(x: Tensor, q_order: int) -> Tensor:
     return stack
 
 
-def _accumulate(total: Tensor, per_sample: Tensor) -> None:
-    """Add per-sample gradients to `total` in place, one sample at a time.
+def add_in_order(total, per_sample: Tensor):
+    """`total` plus each sample's term of `per_sample`, added in sample order.
 
+    An array `total` is updated in place; a scalar one is returned anew.
     This is exactly a running total over one-sample passes; a numpy
     reduction over the sample axis may pair the terms otherwise (it does
-    when `total` has a single element).
+    for losses, and for a gradient `total` with a single element).
     """
-    for g in per_sample.reshape(-1, *total.shape):
-        total += g
+    for term in per_sample.reshape(-1, *np.shape(total)):
+        total += term
+    return total
 
 
 def _merged_kernels(layer: SelfOnnLayerParams) -> Tensor:
@@ -340,15 +328,15 @@ def model_backward(model: Model, cache: ForwardCache, grad_logits: Tensor,
 
     g_hidden_act, gw, gb = ops.dense_backward(
         cache.hidden_activated, model.output.weights, grad_logits)
-    _accumulate(gview.output.weights, gw)
-    _accumulate(gview.output.bias, gb)
+    add_in_order(gview.output.weights, gw)
+    add_in_order(gview.output.bias, gb)
 
     g_hidden_pre = ops.tanh_backward(cache.hidden_activated, g_hidden_act,
                                      out=cache.hidden_activated)
     g_flat, gw, gb = ops.dense_backward(
         cache.flat_input, model.hidden.weights, g_hidden_pre)
-    _accumulate(gview.hidden.weights, gw)
-    _accumulate(gview.hidden.bias, gb)
+    add_in_order(gview.hidden.weights, gw)
+    add_in_order(gview.hidden.bias, gb)
 
     g = g_flat.reshape(*g_flat.shape[:-1], *feature_map_chain(model.config)[-1])
     for i in range(len(model.blocks) - 1, -1, -1):
@@ -358,8 +346,8 @@ def model_backward(model: Model, cache: ForwardCache, grad_logits: Tensor,
                                   out=bc.activated)
         gk, gb, g = selfonn_backward(model.blocks[i], bc.stack, g_pre,
                                      input_grad=input_grad or i > 0)
-        _accumulate(gview.blocks[i].kernels, gk)
-        _accumulate(gview.blocks[i].biases, gb)
+        add_in_order(gview.blocks[i].kernels, gk)
+        add_in_order(gview.blocks[i].biases, gb)
     return grads, g
 
 

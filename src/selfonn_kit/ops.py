@@ -48,10 +48,6 @@ class DimensionError(ValueError):
     """Shapes handed to an operation do not fit together."""
 
 
-class ConsistencyError(RuntimeError):
-    """Internal state (forward caches, power stacks) does not match its producer."""
-
-
 def _im2col(x: Tensor, kh: int, kw: int) -> Tensor:
     """Patch matrices (..., Cin*kh*kw, H'*W') for a [..., Cin, H, W] input."""
     *lead, cin, h, w = x.shape

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .model import Model, model_backward, model_forward
+from .model import Model, add_in_order, model_backward, model_forward
 from .ops import Tensor
 
 ADAM_BETA1 = 0.9
@@ -158,16 +158,6 @@ def _pass_size(model: Model) -> int:
     return max(1, _PASS_PIXELS // int(np.prod(model.config.input_shape)))
 
 
-def _add_losses(total: float, losses: Tensor) -> float:
-    """`total` plus per-sample losses, added one by one in sample order.
-
-    np.sum would add them pairwise and change the low bits of epoch losses.
-    """
-    for loss in losses.tolist():
-        total += loss
-    return total
-
-
 def evaluate(model: Model, images: list[Tensor] | np.ndarray,
              labels: np.ndarray) -> tuple[float, float, np.ndarray]:
     """Mean loss, accuracy, and per-sample argmax predictions.
@@ -187,7 +177,7 @@ def evaluate(model: Model, images: list[Tensor] | np.ndarray,
         chunk = slice(lo, lo + step)
         logits, _ = model_forward(model, np.stack(images[chunk]))
         losses, _ = ops.cross_entropy_with_softmax(logits, labels[chunk])
-        total = _add_losses(total, losses)
+        total = add_in_order(total, losses)
         preds[chunk] = np.argmax(logits, axis=-1)
     accuracy = float(np.mean(preds == labels))
     return total / len(labels), accuracy, preds
@@ -210,7 +200,7 @@ def _train_epoch(model: Model, images, labels, order: np.ndarray,
                                           train_mode=True)
             losses, grad_logits = ops.cross_entropy_with_softmax(logits, labels[part])
             model_backward(model, cache, grad_logits, input_grad=False, grads=grads)
-            batch_loss = _add_losses(batch_loss, losses)
+            batch_loss = add_in_order(batch_loss, losses)
         grads /= len(batch)
         if not np.isfinite(batch_loss) or not np.all(np.isfinite(grads)):
             raise DivergenceError(

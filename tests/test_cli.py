@@ -137,6 +137,14 @@ class TestConfigResolution:
         assert set(cli.read_config_file(ini)) == {s.field for s in cli.SETTINGS}
         cli.build_run_config(self.parse(["train", "--config", str(ini)]))
 
+    def test_readme_library_example_runs(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        library = readme.split("## Library use\n", 1)[1]
+        block = library.split("```python\n", 1)[1].split("```", 1)[0]
+        namespace: dict = {}
+        exec(compile(block, "README.md", "exec"), namespace)
+        assert namespace["grads"].shape == namespace["model"].flat.shape
+
     @pytest.mark.parametrize("command", HELP_FLAGS)
     def test_help_lists_each_flag(self, command, capsys):
         with pytest.raises(SystemExit):
@@ -197,7 +205,7 @@ class TestExitCodes:
         ["bench", "--bench-images", "0"], ["bench", "--warmup", "-1"],
         ["train", "--dense", "0"], ["train", "--filters", "4,0,4"],
         ["train", "--kernels", "5,0,2"], ["train", "--k", "2"],
-        ["crossval", "--k", "2"],
+        ["crossval", "--k", "2"], ["crossval", "--folds", "1"],
         ["eval", "--k", "2", "--weights", "ghost.sonn"]],
         ids=lambda argv: f"{argv[0]}{argv[1]}={argv[2]}")
     def test_bad_setting_rejected_before_data(self, argv, tmp_path, capsys):

@@ -153,12 +153,6 @@ class TestGenerativeLayer:
                    for qi in range(q))
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
-    def test_layer_param_validation(self):
-        with pytest.raises(ops.DimensionError):
-            sm.SelfOnnLayerParams(np.zeros((2, 3, 1, 2, 2)), np.zeros((2, 4)))
-        with pytest.raises(ops.DimensionError):
-            sm.SelfOnnLayerParams(np.zeros((2, 3, 2, 2)), np.zeros((2, 3)))
-
 
 class TestFullModel:
     def test_forward_shapes_and_cache(self):
@@ -189,7 +183,7 @@ class TestFullModel:
             kept = [bc.activated.copy() for bc in cache.blocks]
             hidden = cache.hidden_activated.copy()
         m = sm.build_model(REDUCED, 3)
-        with pytest.raises(ops.ConsistencyError, match="does not match this model"):
+        with pytest.raises(sm.ConsistencyError, match="does not match this model"):
             sm.model_backward(m, cache, np.zeros(3))
         if cache is not None:
             assert np.array_equal(cache.hidden_activated, hidden)
@@ -202,7 +196,7 @@ class TestFullModel:
         logits, cache = sm.model_forward(m, x, train_mode=True)
         _, g = ops.cross_entropy_with_softmax(logits, 1)
         sm.model_backward(m, cache, g)
-        with pytest.raises(ops.ConsistencyError, match="already used"):
+        with pytest.raises(sm.ConsistencyError, match="already used"):
             sm.model_backward(m, cache, g)
 
     @pytest.mark.parametrize("q", [1, 2, 3])
