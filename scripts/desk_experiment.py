@@ -25,19 +25,20 @@ from selfonn_kit.data import (CLASS_NAMES, load_dataset, make_cv_splits,
                               stratified_ordered_kfold)
 from selfonn_kit.model import ModelConfig
 from selfonn_kit.synth import SynthConfig, synth_generate
+from selfonn_kit.training import TrainConfig
 
 
 def parse_args():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--out", default="runs/desk", help="corpus/work directory")
-    p.add_argument("--per-class", type=int, default=300)
+    p.add_argument("--per-class", type=int, default=SynthConfig.per_class)
     p.add_argument("--corpus-seed", type=int, default=11)
     p.add_argument("--seeds", type=int, default=5, help="paired seeds to run")
     p.add_argument("--orders", default="1,2",
                    help="comma-separated polynomial orders")
     p.add_argument("--epochs", type=int, default=3)
-    p.add_argument("--batch", type=int, default=16)
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
     p.add_argument("--k", type=int, default=5)
     return p.parse_args()
 
@@ -48,7 +49,7 @@ def corpus_manifest(args) -> Path:
     if manifest.exists():
         print(f"reusing corpus at {out}")
         return manifest
-    print(f"generating {3 * args.per_class} images under {out} ...")
+    print(f"generating {len(CLASS_NAMES) * args.per_class} images under {out} ...")
     return synth_generate(out, SynthConfig(per_class=args.per_class,
                                            height=128, width=160,
                                            seed=args.corpus_seed))

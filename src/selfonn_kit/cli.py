@@ -2,13 +2,13 @@
 
 Grammar:
     selfonn-kit <synth|split|train|crossval|eval|params|bench>
-                [--config FILE] [--q N] [--seed N] [--epochs N] [--batch N]
-                [--lr X] [--folds all|i] [--out DIR] ...
+                [--config FILE] [flags of the settings the command reads]
 
 Settings resolve with precedence flag > config file > built-in default.
 The config file is INI-style `key = value` under [run], [model], [train],
-[synth], [eval] and [bench] sections. SETTINGS describes every setting once:
-its field, default, INI entry, flag, commands, parser, bound and help.
+[synth], [eval] and [bench] sections; it may set any entry, and every value
+is checked whichever command runs. SETTINGS describes every setting once:
+its field, default, INI entry, flag, readers, parser, bound and help.
 
 Randomness: one root seed (--seed) fans out to independent streams via
 SeedSequence([root, stream, ...context]), with stream tags INIT=0 for
@@ -129,9 +129,9 @@ class Setting(NamedTuple):
     """One run setting, described once for every place that needs it.
 
     The RunConfig field and its default, the INI entry ([section] key), the
-    command-line flag, the commands that take the flag (None: every
-    command), the parser turning the INI or flag text into a value, the
-    lower bound (None: no bound; for a tuple, on each entry) and the help.
+    command-line flag, the commands that read the field (only they take the
+    flag), the parser turning the INI or flag text into a value, the lower
+    bound (None: no bound; for a tuple, on each entry) and the help.
     """
 
     field: str
@@ -139,7 +139,7 @@ class Setting(NamedTuple):
     section: str
     key: str
     flag: str
-    commands: tuple[str, ...] | None
+    commands: tuple[str, ...]
     parse: Callable[[str], object]
     least: int | None
     help: str
@@ -147,12 +147,9 @@ class Setting(NamedTuple):
 
 def _parse_int_tuple(text: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(p) for p in text.split(",") if p.strip())
-        if values:
-            return values
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
-        pass
-    raise ValueError(f"need comma-separated integers, got {text!r}")
+        raise ValueError(f"need comma-separated integers, got {text!r}") from None
 
 
 def _parse_bool(text: str) -> bool:
@@ -168,40 +165,48 @@ def _parse_normalization(text: str) -> str:
     return text
 
 
+# Readers: the commands that train, that load and split a data set, that
+# build a network from the model settings, and that size one without data.
+FIT = ("train", "crossval")
+LOADS = (*FIT, "eval")
+BUILDS = (*FIT, "params", "bench")
+SIZES = ("params", "bench")
+
 # The synth grid floor of 8 is SynthConfig's; a negative seed would only
 # fail inside SeedSequence, after the output directory exists.
 SETTINGS = (
-    Setting("manifest", None, "run", "manifest", "--manifest", None, str,
-            None, "dataset manifest"),
-    Setting("out", "runs", "run", "out", "--out", None, str, None,
-            "artifact directory"),
-    Setting("seed", 0, "run", "seed", "--seed", None, int, 0,
-            "root random seed"),
-    Setting("k", 5, "run", "k", "--k", None, int, 2, "number of folds"),
-    Setting("fold_selector", "all", "run", "folds", "--folds", None, str,
+    Setting("manifest", None, "run", "manifest", "--manifest",
+            ("split", *LOADS), str, None, "dataset manifest"),
+    Setting("out", "runs", "run", "out", "--out", ("synth", "split", *FIT),
+            str, None, "artifact directory"),
+    Setting("seed", 0, "run", "seed", "--seed", ("synth", *FIT, "bench"),
+            int, 0, "root random seed"),
+    Setting("k", 5, "run", "k", "--k", ("split", *LOADS), int, 2,
+            "number of folds"),
+    Setting("fold_selector", "all", "run", "folds", "--folds", LOADS, str,
             None, "fold selection: all or an index"),
     Setting("normalization", "image", "run", "normalization",
-            "--normalization", None, _parse_normalization, None,
+            "--normalization", LOADS, _parse_normalization, None,
             "min/max scope for pixel scaling: image or dataset"),
     Setting("half_resolution", False, "run", "half_resolution", "--half",
-            None, _parse_bool, None, "halve image resolution when loading"),
-    Setting("q_order", ModelConfig.q_order, "model", "q", "--q", None, int,
-            None, "polynomial order Q, 1..10"),
-    Setting("filters", ModelConfig.block_filters, "model", "filters", "--filters", None,
-            _parse_int_tuple, 1, "filters per block, comma-separated"),
-    Setting("kernels", ModelConfig.kernel_sizes, "model", "kernels", "--kernels", None,
-            _parse_int_tuple, 1, "kernel size per block, comma-separated"),
+            LOADS, _parse_bool, None, "halve image resolution when loading"),
+    Setting("q_order", ModelConfig.q_order, "model", "q", "--q",
+            (*FIT, "bench"), int, None, "polynomial order Q, 1..10"),
+    Setting("filters", ModelConfig.block_filters, "model", "filters", "--filters",
+            BUILDS, _parse_int_tuple, 1, "filters per block, comma-separated"),
+    Setting("kernels", ModelConfig.kernel_sizes, "model", "kernels", "--kernels",
+            BUILDS, _parse_int_tuple, 1, "kernel size per block, comma-separated"),
     Setting("dense_units", ModelConfig.dense_units, "model", "dense",
-            "--dense", None, int, 1, "hidden dense units"),
+            "--dense", BUILDS, int, 1, "hidden dense units"),
     Setting("input_height", ModelConfig.input_shape[1], "model", "input_height",
-            "--input-height", None, int, None, "input rows when no data is loaded"),
+            "--input-height", SIZES, int, None, "input rows when no data is loaded"),
     Setting("input_width", ModelConfig.input_shape[2], "model", "input_width",
-            "--input-width", None, int, None, "input columns when no data is loaded"),
+            "--input-width", SIZES, int, None, "input columns when no data is loaded"),
     Setting("epochs", TrainConfig.max_epochs, "train", "epochs", "--epochs",
-            None, int, 1, "epoch budget"),
+            FIT, int, 1, "epoch budget"),
     Setting("batch", TrainConfig.batch_size, "train", "batch", "--batch",
-            None, int, 1, "batch size"),
-    Setting("lr", TrainConfig.learning_rate, "train", "lr", "--lr", None,
+            FIT, int, 1, "batch size"),
+    Setting("lr", TrainConfig.learning_rate, "train", "lr", "--lr", FIT,
             float, None, "initial learning rate"),
     Setting("per_class", SynthConfig.per_class, "synth", "per_class",
             "--per-class", ("synth",), int, 1, "images per class"),
@@ -319,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=command.__doc__)
         p.add_argument("--config", metavar="FILE", help="INI settings file")
         for s in SETTINGS:
-            if s.commands is None or name in s.commands:
+            if name in s.commands:
                 # a bare --half reads like "yes" in the INI file
                 kind = ({"action": "store_const", "const": "yes"}
                         if s.parse is _parse_bool
@@ -392,7 +397,7 @@ def cmd_synth(cfg: RunConfig) -> int:
                      width=cfg.synth_width,
                      seed=derive_seed(cfg.seed, STREAM_SYNTH))
     manifest = synth_generate(out, sc)
-    log.info("wrote %d images under %s", 3 * sc.per_class, out)
+    log.info("wrote %d images under %s", len(CLASS_NAMES) * sc.per_class, out)
     records = read_manifest(manifest)
     lines = [f"images per class: {sc.per_class}",
              f"grid: {sc.height}x{sc.width}",

@@ -13,6 +13,7 @@ folds.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,24 +53,15 @@ class ThermalImage:
         return self.pixels.shape[1]
 
 
+_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)")
+
+
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int, int]:
     """Skip whitespace and # comments, return (token, start, end)."""
-    n = len(data)
-    while pos < n:
-        b = data[pos]
-        if b in _WHITESPACE:
-            pos += 1
-        elif b == 0x23:  # '#' starts a comment running to end of line
-            while pos < n and data[pos] not in (0x0A, 0x0D):
-                pos += 1
-        else:
-            break
-    if pos >= n:
-        raise PgmError(f"header ends prematurely at byte {pos}")
-    start = pos
-    while pos < n and data[pos] not in _WHITESPACE:
-        pos += 1
-    return data[start:pos], start, pos
+    m = _TOKEN.match(data, pos)
+    if not m[1]:
+        raise PgmError(f"header ends prematurely at byte {m.end()}")
+    return m[1], m.start(1), m.end()
 
 
 def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:

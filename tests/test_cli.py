@@ -1,6 +1,7 @@
 import logging
 import os
 import re
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -27,16 +28,22 @@ def corpus(tmp_path_factory):
     return root / "manifest.tsv"
 
 
-# Every subcommand's flags as the parser listed them before the settings
-# table existed; the table must reproduce them exactly.
-COMMON_FLAGS = ["--help", "--config", "--manifest", "--out", "--seed", "--q",
-                "--k", "--folds", "--epochs", "--batch", "--lr",
-                "--normalization", "--half", "--filters", "--kernels",
-                "--dense", "--input-height", "--input-width"]
-HELP_FLAGS = {"synth": ["--per-class", "--height", "--width"],
-              "split": [], "train": [], "crossval": [],
-              "eval": ["--weights"], "params": [],
-              "bench": ["--bench-images", "--warmup", "--runs"]}
+# Every subcommand's flags besides --help and --config: exactly the
+# settings the command reads, 57 command-flag pairs in all.
+FIT_FLAGS = ["--manifest", "--out", "--seed", "--k", "--folds",
+             "--normalization", "--half", "--q", "--filters", "--kernels",
+             "--dense", "--epochs", "--batch", "--lr"]
+HELP_FLAGS = {"synth": ["--out", "--seed", "--per-class", "--height",
+                        "--width"],
+              "split": ["--manifest", "--out", "--k"],
+              "train": FIT_FLAGS, "crossval": FIT_FLAGS,
+              "eval": ["--manifest", "--k", "--folds", "--normalization",
+                       "--half", "--weights"],
+              "params": ["--filters", "--kernels", "--dense",
+                         "--input-height", "--input-width"],
+              "bench": ["--seed", "--q", "--filters", "--kernels", "--dense",
+                        "--input-height", "--input-width", "--bench-images",
+                        "--warmup", "--runs"]}
 
 
 def run(argv):
@@ -118,6 +125,13 @@ class TestConfigResolution:
         with pytest.raises(cli.UsageError, match=r"\[train\] epochs"):
             cli.read_config_file(ini)
 
+    def test_empty_list_entry_in_file_rejected(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[model]\nfilters = 8, 8,\n")
+        with pytest.raises(cli.UsageError,
+                           match=r"bad value for \[model\] filters"):
+            cli.read_config_file(ini)
+
     def test_validation_catches_bad_fold_selector(self):
         with pytest.raises(cli.UsageError, match="outside"):
             cli.build_run_config(self.parse(["train", "--folds", "9"]))
@@ -151,7 +165,18 @@ class TestConfigResolution:
             cli.main([command, "--help"])
         listed = re.findall(r"^  (?:-h, )?(--[a-z-]+)", capsys.readouterr().out,
                             flags=re.MULTILINE)
-        assert sorted(listed) == sorted(COMMON_FLAGS + HELP_FLAGS[command])
+        assert sorted(listed) == sorted(["--help", "--config",
+                                         *HELP_FLAGS[command]])
+
+    def test_readme_command_lines_parse(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        blocks = readme.split("```")[1::2]
+        lines = [line for block in blocks
+                 for line in block.replace("\\\n", " ").splitlines()
+                 if line.startswith("selfonn-kit ")]
+        assert len(lines) >= 6
+        for line in lines:
+            cli.build_run_config(self.parse(shlex.split(line)[1:]))
 
 
 class TestExitCodes:
@@ -211,9 +236,42 @@ class TestExitCodes:
     def test_bad_setting_rejected_before_data(self, argv, tmp_path, capsys):
         # The manifest does not exist: reading it would exit with EXIT_IO.
         out = tmp_path / "out"
-        assert run([*argv, "--manifest", tmp_path / "ghost.tsv",
-                    "--out", out]) == cli.EXIT_USAGE
+        takes = {s.flag for s in cli.SETTINGS if argv[0] in s.commands}
+        for flag, value in (("--manifest", tmp_path / "ghost.tsv"),
+                            ("--out", out)):
+            if flag in takes:
+                argv = [*argv, flag, value]
+        assert run(argv) == cli.EXIT_USAGE
         assert f"{argv[1]} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--manifest", "ghost.tsv", "--weights", "ghost.sonn",
+         "--q", "3"],
+        ["eval", "--manifest", "ghost.tsv", "--weights", "ghost.sonn",
+         "--out", "D"],
+        ["params", "--q", "3"],
+        ["synth", "--out", "D", "--per-class", "1", "--height", "8",
+         "--width", "8", "--epochs", "2"],
+        ["split", "--manifest", "ghost.tsv", "--seed", "1"],
+        ["bench", "--input-height", "10", "--input-width", "10",
+         "--filters", "1", "--kernels", "2", "--dense", "2",
+         "--bench-images", "1", "--warmup", "0", "--runs", "1",
+         "--manifest", "m.tsv"]],
+        ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_unread_flag_rejected(self, argv, tmp_path, capsys):
+        out = tmp_path / "D"
+        assert run([out if a == "D" else a for a in argv]) == cli.EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [("--filters", "4,,4"),
+                                            ("--kernels", "5,3,")])
+    def test_empty_list_entry_rejected(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["train", "--manifest", tmp_path / "ghost.tsv",
+                    "--out", out, flag, value]) == cli.EXIT_USAGE
+        assert f"bad value for {flag}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_eval_without_weights(self, corpus, capsys):
@@ -229,8 +287,8 @@ class TestExitCodes:
                             dense_units=4, classes=classes)
         path = tmp_path / "other.sonn"
         save_weights(build_model(other, rng_seed=0), path)
-        assert run(["eval", "--manifest", corpus, "--weights", path,
-                    *TINY_MODEL]) == cli.EXIT_WEIGHTS
+        assert run(["eval", "--manifest", corpus,
+                    "--weights", path]) == cli.EXIT_WEIGHTS
         assert "weight file error" in capsys.readouterr().err
 
     def test_eval_weights_not_a_weight_file(self, corpus, tmp_path, capsys):
@@ -339,7 +397,7 @@ class TestTrainEvalPipeline:
         out = tmp_path / "runs"
         run(self.train_args(corpus, out))
         capsys.readouterr()
-        assert run(["eval", "--manifest", corpus, "--out", out, *TINY_MODEL,
+        assert run(["eval", "--manifest", corpus,
                     "--weights", out / "q1_fold0.sonn",
                     "--folds", "0"]) == cli.EXIT_OK
         stdout = capsys.readouterr().out
@@ -350,7 +408,7 @@ class TestTrainEvalPipeline:
         out = tmp_path / "runs"
         run(self.train_args(corpus, out))
         capsys.readouterr()
-        assert run(["eval", "--manifest", corpus, "--out", out, *TINY_MODEL,
+        assert run(["eval", "--manifest", corpus,
                     "--weights", out / "q1_fold0.sonn"]) == cli.EXIT_OK
         assert "evaluating 30 samples (manifest)" in capsys.readouterr().out
 
