@@ -128,10 +128,11 @@ def paired_cv_study(config: ModelConfig, dataset: Dataset,
 class Setting(NamedTuple):
     """One run setting, described once for every place that needs it.
 
-    The RunConfig field and its default, the INI entry ([section] key), the
-    command-line flag, the commands that read the field (only they take the
-    flag), the parser turning the INI or flag text into a value, the lower
-    bound (None: no bound; for a tuple, on each entry) and the help.
+    The RunConfig field and its default (None: every command that reads the
+    field needs it), the INI entry ([section] key), the command-line flag,
+    the commands that read the field (only they take the flag), the parser
+    turning the INI or flag text into a value, the lower bound (None: no
+    bound; for a tuple, on each entry) and the help.
     """
 
     field: str
@@ -159,6 +160,12 @@ def _parse_bool(text: str) -> bool:
         raise ValueError(f"not a boolean: {text!r}") from None
 
 
+def _parse_folds(text: str) -> str | int:
+    if text != "all" and not text.isdecimal():
+        raise ValueError(f"takes 'all' or an index, got {text!r}")
+    return text if text == "all" else int(text)
+
+
 def _parse_normalization(text: str) -> str:
     if text not in ("image", "dataset"):
         raise ValueError(f"must be 'image' or 'dataset', got {text!r}")
@@ -183,8 +190,8 @@ SETTINGS = (
             int, 0, "root random seed"),
     Setting("k", 5, "run", "k", "--k", ("split", *LOADS), int, 2,
             "number of folds"),
-    Setting("fold_selector", "all", "run", "folds", "--folds", LOADS, str,
-            None, "fold selection: all or an index"),
+    Setting("fold_selector", "all", "run", "folds", "--folds", LOADS,
+            _parse_folds, None, "fold selection: all or an index"),
     Setting("normalization", "image", "run", "normalization",
             "--normalization", LOADS, _parse_normalization, None,
             "min/max scope for pixel scaling: image or dataset"),
@@ -227,33 +234,21 @@ SETTINGS = (
 
 def _validate(cfg, command: str) -> None:
     for s in SETTINGS:
-        if s.least is None:
-            continue
-        value = getattr(cfg, s.field)
-        for v in value if isinstance(value, tuple) else (value,):
-            if v < s.least:
-                raise UsageError(f"{s.flag} must be >= {s.least}, got {v}")
+        if s.default is None and command in s.commands and not getattr(cfg, s.field):
+            raise UsageError(f"{command} needs {s.flag} (or [{s.section}] {s.key})")
     if not 1 <= cfg.q_order <= 10:
         raise UsageError(f"q must lie in 1..10, got {cfg.q_order}")
-    if cfg.fold_selector != "all":
-        try:
-            idx = int(cfg.fold_selector)
-        except ValueError:
-            raise UsageError(
-                f"--folds takes 'all' or an index, got {cfg.fold_selector!r}")
-        if not 0 <= idx < cfg.k:
-            raise UsageError(f"fold {idx} outside 0..{cfg.k - 1}")
+    if cfg.fold_selector != "all" and cfg.fold_selector >= cfg.k:
+        raise UsageError(f"fold {cfg.fold_selector} outside 0..{cfg.k - 1}")
     if len(cfg.filters) != len(cfg.kernels):
         raise UsageError(
             f"{len(cfg.filters)} filter counts vs {len(cfg.kernels)} "
             "kernel sizes")
     if not (math.isfinite(cfg.lr) and cfg.lr > 0):
         raise UsageError(f"--lr must be a positive number, got {cfg.lr}")
-    if command == "eval" and not cfg.weights:
-        raise UsageError("eval needs --weights (or [eval] weights)")
     if command == "crossval" and cfg.fold_selector != "all":
         raise UsageError(f"--folds must be all for crossval, got {cfg.fold_selector}")
-    if command in ("train", "crossval", "eval") and cfg.k < 3:
+    if command in LOADS and cfg.k < 3:
         # each round needs distinct test and validation folds and one to train on
         raise UsageError(f"--k must be >= 3 to train or evaluate, got {cfg.k}")
 
@@ -270,20 +265,24 @@ RunConfig = make_dataclass(
 
 def _convert(s: Setting, text: str, where: str) -> object:
     try:
-        return s.parse(text)
+        value = s.parse(text)
     except ValueError as exc:
         raise UsageError(f"bad value for {where}: {exc}") from exc
+    for v in value if isinstance(value, tuple) else (value,):
+        if s.least is not None and v < s.least:
+            raise UsageError(f"{where} must be >= {s.least}, got {v}")
+    return value
 
 
 def read_config_file(path) -> dict[str, object]:
     """Parse an INI config into RunConfig field overrides."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise UsageError(f"malformed config file {path}: {exc}") from exc
     entries = {(s.section, s.key): s for s in SETTINGS}
     overrides: dict[str, object] = {}
@@ -344,12 +343,6 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def _manifest(cfg: RunConfig) -> str:
-    if not cfg.manifest:
-        raise UsageError("this command needs --manifest (or [run] manifest)")
-    return cfg.manifest
-
-
 def _model_config(cfg: RunConfig, input_shape: tuple[int, int, int],
                   q_order: int | None = None) -> ModelConfig:
     return ModelConfig(q_order=q_order or cfg.q_order,
@@ -387,7 +380,7 @@ def write_epoch_log(history, path) -> None:
         lines.append(f"{r.epoch}\t{_fmt(r.train_loss)}\t{_fmt(r.val_loss)}\t"
                      f"{_fmt(r.val_accuracy)}\t{_fmt(r.learning_rate)}\t"
                      f"{int(r.lr_reduced)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def cmd_synth(cfg: RunConfig) -> int:
@@ -414,7 +407,7 @@ def cmd_synth(cfg: RunConfig) -> int:
         lines.append(f"{name:<14}  {len(means):>5}  {np.mean(means):>8.2f}  "
                      f"{np.mean(stds):>8.2f}  {min(lo):>8.2f}  {max(hi):>8.2f}")
     report = "\n".join(lines) + "\n"
-    (out / "synth_report.txt").write_text(report)
+    (out / "synth_report.txt").write_text(report, encoding="utf-8")
     print(f"manifest: {manifest}")
     print(report, end="")
     return EXIT_OK
@@ -422,13 +415,13 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 def cmd_split(cfg: RunConfig) -> int:
     """plan stratified folds over a manifest"""
-    records = read_manifest(_manifest(cfg))
+    records = read_manifest(cfg.manifest)
     labels = [r.label for r in records]
     plan = stratified_ordered_kfold(labels, cfg.k)
     out = _out_dir(cfg)
     write_fold_plan(plan, out / "fold_plan.json")
     table = fold_summary_table(plan, labels)
-    (out / "fold_summary.txt").write_text(table + "\n")
+    (out / "fold_summary.txt").write_text(table + "\n", encoding="utf-8")
     print(table)
     return EXIT_OK
 
@@ -456,12 +449,12 @@ def _train_and_write(cfg: RunConfig, config: ModelConfig, dataset: Dataset,
             f"test_loss {_fmt(run.test_loss)}", "",
             format_confusion(report.matrix, CLASS_NAMES), "",
             format_metric_table(report, CLASS_NAMES)]
-    Path(f"{stem}_report.txt").write_text("\n".join(body) + "\n")
+    Path(f"{stem}_report.txt").write_text("\n".join(body) + "\n", encoding="utf-8")
     return run, report
 
 
 def _load_split_data(cfg: RunConfig):
-    dataset = load_dataset(_manifest(cfg),
+    dataset = load_dataset(cfg.manifest,
                            half_resolution=cfg.half_resolution,
                            shared_bounds=cfg.normalization == "dataset")
     plan = stratified_ordered_kfold(dataset.labels, cfg.k)
@@ -473,7 +466,7 @@ def cmd_train(cfg: RunConfig) -> int:
     dataset, splits = _load_split_data(cfg)
     # the architecture is checked against the images before --out exists
     config = _model_config(cfg, tuple(dataset.images[0].shape))
-    split = splits[0 if cfg.fold_selector == "all" else int(cfg.fold_selector)]
+    split = splits[0 if cfg.fold_selector == "all" else cfg.fold_selector]
     out = _out_dir(cfg)
     run, report = _train_and_write(cfg, config, dataset, split, out)
     print(f"fold {split.test_fold}: {len(run.result.history)} epochs, "
@@ -505,7 +498,7 @@ def cmd_crossval(cfg: RunConfig) -> int:
              "pooled confusion:",
              format_confusion(agg.pooled, CLASS_NAMES)]
     text = "\n".join(lines) + "\n"
-    (out / f"q{cfg.q_order}_aggregate.txt").write_text(text)
+    (out / f"q{cfg.q_order}_aggregate.txt").write_text(text, encoding="utf-8")
     print(text, end="")
     return EXIT_OK
 
@@ -524,9 +517,8 @@ def cmd_eval(cfg: RunConfig) -> int:
         images, labels = dataset.images, dataset.labels
         scope = "manifest"
     else:
-        fold = int(cfg.fold_selector)
-        images, labels = dataset.subset(splits[fold].test_indices)
-        scope = f"test fold {fold}"
+        images, labels = dataset.subset(splits[cfg.fold_selector].test_indices)
+        scope = f"test fold {cfg.fold_selector}"
     loss, acc, preds = evaluate(model, images, labels)
     report = metric_report(confusion(labels, preds, len(CLASS_NAMES)))
     print(f"evaluating {len(images)} samples ({scope})")

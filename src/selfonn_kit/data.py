@@ -155,8 +155,12 @@ class SampleRecord:
 
 def read_manifest(path) -> list[SampleRecord]:
     """Parse `relative/path<TAB>class` lines; blank lines are skipped."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"manifest {path} is not UTF-8: {exc}") from exc
     records = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -178,7 +182,7 @@ def read_manifest(path) -> list[SampleRecord]:
 
 def write_manifest(records: list[SampleRecord], path) -> None:
     lines = [f"{r.path}\t{r.class_name}" for r in records]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 @dataclass(frozen=True)
@@ -249,7 +253,7 @@ def make_cv_splits(plan: FoldPlan) -> list[CvSplit]:
 
 def write_fold_plan(plan: FoldPlan, path) -> None:
     doc = {"k": plan.k, "folds": [list(f) for f in plan.folds]}
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
+    Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
 
 
 @dataclass

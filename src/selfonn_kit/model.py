@@ -67,6 +67,10 @@ class ModelConfig:
             raise ConfigError("filter counts and kernel sizes must be >= 1")
         if self.dense_units < 1 or self.classes < 2:
             raise ConfigError("need dense_units >= 1 and classes >= 2")
+        sizes = (self.q_order, *self.input_shape, len(self.block_filters),
+                 *self.block_filters, *self.kernel_sizes, self.dense_units, self.classes)
+        if max(sizes) > 0xFFFF:  # the 16-bit fields of a .sonn header
+            raise ConfigError(f"size {max(sizes)} above 65535 cannot be stored")
         feature_map_chain(self)  # fail fast if the spatial chain dies
 
 

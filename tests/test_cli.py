@@ -64,7 +64,7 @@ class TestConfigResolution:
         return cli.build_parser().parse_args(argv)
 
     def test_defaults(self):
-        cfg = cli.build_run_config(self.parse(["train"]))
+        cfg = cli.build_run_config(self.parse(["train", "--manifest", "m.tsv"]))
         assert cfg.epochs == 300
         assert cfg.q_order == 1
         assert cfg.filters == (8, 8, 8)
@@ -72,7 +72,8 @@ class TestConfigResolution:
     def test_file_overrides_default(self, tmp_path):
         ini = tmp_path / "run.ini"
         ini.write_text("[train]\nepochs = 7\n[model]\nq = 3\n")
-        cfg = cli.build_run_config(self.parse(["train", "--config", str(ini)]))
+        cfg = cli.build_run_config(self.parse(["train", "--config", str(ini),
+                                               "--manifest", "m.tsv"]))
         assert cfg.epochs == 7
         assert cfg.q_order == 3
 
@@ -80,7 +81,8 @@ class TestConfigResolution:
         ini = tmp_path / "run.ini"
         ini.write_text("[train]\nepochs = 7\nlr = 0.5\n")
         cfg = cli.build_run_config(
-            self.parse(["train", "--config", str(ini), "--epochs", "2"]))
+            self.parse(["train", "--config", str(ini), "--epochs", "2",
+                        "--manifest", "m.tsv"]))
         assert cfg.epochs == 2
         assert cfg.lr == 0.5
 
@@ -98,7 +100,7 @@ class TestConfigResolution:
         cfg = cli.build_run_config(self.parse(["train", "--config", str(ini)]))
         assert cfg.manifest == "m.tsv"
         assert cfg.k == 4
-        assert cfg.fold_selector == "2"
+        assert cfg.fold_selector == 2
         assert cfg.normalization == "dataset"
         assert cfg.half_resolution is True
         assert cfg.filters == (4, 4)
@@ -110,7 +112,8 @@ class TestConfigResolution:
     def test_inline_comments(self, tmp_path):
         ini = tmp_path / "run.ini"
         ini.write_text("[train]\nepochs = 7  # short run\n")
-        cfg = cli.build_run_config(self.parse(["train", "--config", str(ini)]))
+        cfg = cli.build_run_config(self.parse(["train", "--config", str(ini),
+                                               "--manifest", "m.tsv"]))
         assert cfg.epochs == 7
 
     def test_unknown_entry_rejected(self, tmp_path):
@@ -134,14 +137,24 @@ class TestConfigResolution:
 
     def test_validation_catches_bad_fold_selector(self):
         with pytest.raises(cli.UsageError, match="outside"):
-            cli.build_run_config(self.parse(["train", "--folds", "9"]))
+            cli.build_run_config(self.parse(["train", "--folds", "9",
+                                             "--manifest", "m.tsv"]))
         with pytest.raises(cli.UsageError, match="'all' or an index"):
             cli.build_run_config(self.parse(["train", "--folds", "first"]))
+
+    def test_folds_parses_to_an_index(self):
+        cfg = cli.build_run_config(self.parse(
+            ["eval", "--manifest", "m.tsv", "--weights", "w.sonn",
+             "--folds", "02"]))
+        assert cfg.fold_selector == 2
+        with pytest.raises(cli.UsageError, match="bad value for --folds"):
+            cli.build_run_config(self.parse(["eval", "--folds", "-1"]))
 
     def test_validation_catches_mismatched_blocks(self):
         with pytest.raises(cli.UsageError, match="kernel"):
             cli.build_run_config(self.parse(
-                ["train", "--filters", "4,4", "--kernels", "3"]))
+                ["train", "--filters", "4,4", "--kernels", "3",
+                 "--manifest", "m.tsv"]))
 
     def test_readme_config_sets_every_setting(self, tmp_path):
         readme = (Path(__file__).parent.parent / "README.md").read_text()
@@ -191,6 +204,38 @@ class TestExitCodes:
         ini.write_text("epochs = 7\n")  # key before any section header
         assert run(["params", "--config", ini]) == cli.EXIT_USAGE
         assert "usage error" in capsys.readouterr().err
+
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        ini = tmp_path / "latin1.ini"
+        ini.write_bytes("[model]\n# café\ndense = 4\n".encode("latin-1"))
+        assert run(["params", "--config", ini]) == cli.EXIT_USAGE
+        assert "malformed config file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,needed", [
+        (command, s) for s in cli.SETTINGS if s.default is None
+        for command in s.commands], ids=lambda v: getattr(v, "flag", v))
+    def test_required_setting_missing(self, command, needed, tmp_path, capsys):
+        # The other required paths are ghosts: reading one would exit with
+        # EXIT_IO.
+        out = tmp_path / "out"
+        argv = [command]
+        for s in cli.SETTINGS:
+            if command not in s.commands or s is needed:
+                continue
+            if s.default is None:
+                argv += [s.flag, tmp_path / "ghost"]
+            elif s.flag == "--out":
+                argv += [s.flag, out]
+        assert run(argv) == cli.EXIT_USAGE
+        assert f"{command} needs {needed.flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_file_entry_checked_under_flag(self, tmp_path, capsys):
+        ini = tmp_path / "b.ini"
+        ini.write_text("[train]\nbatch = 0\n")
+        assert run(["train", "--config", ini, "--batch", "4",
+                    "--manifest", tmp_path / "ghost.tsv"]) == cli.EXIT_USAGE
+        assert "[train] batch in" in capsys.readouterr().err
 
     def test_missing_manifest_flag(self, capsys):
         assert run(["split"]) == cli.EXIT_USAGE
@@ -274,6 +319,17 @@ class TestExitCodes:
         assert f"bad value for {flag}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_size_beyond_weight_file_rejected_before_out(self, corpus,
+                                                          tmp_path, capsys):
+        # .sonn headers store the sizes as 16-bit fields
+        assert run(["params", "--dense", "70000"]) == cli.EXIT_USAGE
+        out = tmp_path / "out"
+        assert run(["train", "--manifest", corpus, "--out", out, "--k", "3",
+                    "--filters", "2", "--kernels", "3",
+                    "--dense", "70000"]) == cli.EXIT_USAGE
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_eval_without_weights(self, corpus, capsys):
         assert run(["eval", "--manifest", corpus]) == cli.EXIT_USAGE
 
@@ -345,6 +401,20 @@ class TestSynthAndSplit:
                     "--k", "2"]) == cli.EXIT_OK
         rows = capsys.readouterr().out.strip().splitlines()
         assert rows[1].split() == ["healthy", "5", "5", "10"]
+
+    def test_split_reads_utf8_manifest_in_c_locale(self, corpus, tmp_path):
+        manifest = tmp_path / "m.tsv"
+        lines = corpus.read_text(encoding="utf-8").splitlines()
+        manifest.write_text("".join(f"café/{line}\n" for line in lines),
+                            encoding="utf-8")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, LC_ALL="C",
+                   PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        proc = subprocess.run(
+            [sys.executable, "-m", "selfonn_kit", "split", "--manifest",
+             str(manifest), "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestTrainEvalPipeline:

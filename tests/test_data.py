@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from selfonn_kit import data as d
+from selfonn_kit.synth import SynthConfig, synth_generate
 
 u16_images = hnp.arrays(np.uint16, hnp.array_shapes(min_dims=2, max_dims=2,
                                                     min_side=1, max_side=12),
@@ -289,6 +291,21 @@ class TestLoadDataset:
         manifest = self.make_corpus(tmp_path)
         ds = d.load_dataset(manifest, half_resolution=True)
         assert ds.images[0].shape == (1, 2, 2)
+
+    # Pins every float the load path returns for a synthetic corpus.
+    @pytest.mark.parametrize("kwargs,digest", [
+        (dict(half_resolution=True),
+         "105969987c1e85122dd9882a92ba4b64b90b3cd4bd5ddfe07f96e3d73517dfb5"),
+        (dict(shared_bounds=True),
+         "59a662e3d189b3b17a9323d864f1c405eff30adcc8749b2f71058ab4985d958f"),
+    ], ids=["half_resolution", "shared_bounds"])
+    def test_golden_digest(self, kwargs, digest, tmp_path):
+        manifest = synth_generate(tmp_path, SynthConfig(per_class=3, height=32,
+                                                        width=40, seed=7))
+        ds = d.load_dataset(manifest, **kwargs)
+        h = hashlib.sha256(np.stack(ds.images).tobytes())
+        h.update(ds.labels.tobytes())
+        assert h.hexdigest() == digest
 
     def test_shape_mismatch_names_file(self, tmp_path):
         manifest = self.make_corpus(tmp_path,

@@ -64,6 +64,12 @@ class TestConfig:
         dict(dense_units=0),
         dict(classes=1),
         dict(input_shape=(0, 4, 4)),
+        # a .sonn header stores each of these sizes in 16 bits
+        dict(q_order=65536),
+        dict(input_shape=(1, 256, 65536)),
+        dict(block_filters=(8, 8, 65536)),
+        dict(dense_units=70000),
+        dict(classes=65536),
     ])
     def test_invalid_configs(self, kwargs):
         with pytest.raises(sm.ConfigError):
