@@ -1,0 +1,131 @@
+"""Paired perfbench run of HEAD against another revision, saved as BENCH_<TAG>.json.
+
+Exports HEAD and REV with `git archive` into fresh temporary trees (runs
+from a working checkout read a few percent slower than the same files run
+from a fresh export). On each of SEEDS it runs each tree's own
+`perfbench/run.py --workload W --seed S --seconds 10 --trace 0` for every
+workload, alternating which tree goes first, then makes one `--trace 1`
+run per tree and workload. It writes, at the repository root:
+
+- the provenance line of the first run, and which commits were measured;
+- for each workload and end-to-end metric of HEAD's BENCHMARK.json, both
+  trees' median and quartiles, HEAD's pair wins and the median ratio;
+- each tree's failed and attempted operations, and from the traced runs
+  the per-layer self seconds and `trace.absent_functions`.
+
+Usage (from anywhere in the repository):
+    python3 scripts/bench_pair.py HEAD~1 candidate
+"""
+
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("desk_train", "full_infer", "corpus_io")
+SEEDS = (1, 2, 3)
+SECONDS = 10
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, text=True,
+                          capture_output=True).stdout.strip()
+
+
+def export(rev: str, into: Path) -> dict:
+    """Write the committed files of `rev` under `into`; return its identity."""
+    into.mkdir()
+    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
+                             check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
+    return {"rev": rev, "commit": git("rev-parse", f"{rev}^{{commit}}"),
+            "src_tree": git("rev-parse", f"{rev}:src")}
+
+
+def perfbench(tree: Path, workload: str, seed: int, trace: int) -> dict:
+    """One run of the tree's own perfbench: its provenance and its result."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace)],
+        cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if not lines or not lines[-1].startswith("{"):
+        sys.exit(f"{tree} {workload} seed {seed}: no result "
+                 f"(exit {proc.returncode})\n{proc.stderr}")
+    provenance = next(json.loads(line.split(" ", 1)[1]) for line in lines
+                      if line.startswith("provenance "))
+    return {"provenance": provenance, **json.loads(lines[-1])}
+
+
+def spread(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def summarize(runs: dict, traced: dict, end_to_end: list[dict]) -> dict:
+    """Per workload: both trees' spreads, HEAD's pair wins, and the traces.
+
+    `runs[tree][workload]` lists one perfbench result per seed, in seed
+    order, so entry i of "head" and of "rev" form pair i; `traced[tree]
+    [workload]` is one traced result. `end_to_end` holds BENCHMARK.json's
+    metric entries (name, better, bound).
+    """
+    out = {}
+    for workload in WORKLOADS:
+        metrics = {}
+        for m in end_to_end:
+            head, rev = ([r["metrics"][m["name"]]["value"]
+                          for r in runs[tree][workload]] for tree in ("head", "rev"))
+            sign = 1 if m["better"] == "higher" else -1
+            metrics[m["name"]] = {
+                "better": m["better"], "bound": m["bound"],
+                "head": spread(head), "rev": spread(rev),
+                "head_wins": sum(sign * (h - r) > 0 for h, r in zip(head, rev)),
+                "pairs": len(head),
+                "median_ratio": statistics.median(head) / statistics.median(rev)}
+        out[workload] = {"end_to_end": metrics}
+        for tree in ("head", "rev"):
+            trace = traced[tree][workload]["metrics"]
+            out[workload][tree] = {
+                "failed": sum(r["failed"] for r in runs[tree][workload]),
+                "attempted": sum(r["attempted"] for r in runs[tree][workload]),
+                "absent_functions": trace["trace.absent_functions"]["value"],
+                "self_s": {k[:-len(".self_s")]: v["value"]
+                           for k, v in trace.items() if k.endswith(".self_s")}}
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        sys.exit("usage: python3 scripts/bench_pair.py REV TAG")
+    rev, tag = argv
+    end_to_end = json.loads(git("show", "HEAD:BENCHMARK.json"))["end_to_end"]
+    with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
+        trees = {"head": Path(tmp) / "head", "rev": Path(tmp) / "rev"}
+        ids = {"head": export("HEAD", trees["head"]), "rev": export(rev, trees["rev"])}
+        runs = {tree: {w: [] for w in WORKLOADS} for tree in trees}
+        pairs = [(seed, workload) for seed in SEEDS for workload in WORKLOADS]
+        for turn, (seed, workload) in enumerate(pairs):
+            for tree in ("head", "rev")[::-1 if turn % 2 else 1]:
+                print(f"seed {seed} {workload} {tree}", flush=True)
+                runs[tree][workload].append(
+                    perfbench(trees[tree], workload, seed, trace=0))
+        traced = {tree: {w: perfbench(trees[tree], w, SEEDS[0], trace=1)
+                         for w in WORKLOADS} for tree in trees}
+    provenance = runs["head"][WORKLOADS[0]][0]["provenance"]
+    doc = {"command": f"scripts/bench_pair.py {rev} {tag}",
+           "provenance": {k: v for k, v in provenance.items()
+                          if k not in ("workload", "seed", "trace", "commit")},
+           "trees": ids, "seeds": list(SEEDS), "seconds": SECONDS,
+           "workloads": summarize(runs, traced, end_to_end)}
+    path = ROOT / f"BENCH_{tag}.json"
+    path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -8,7 +8,7 @@ Settings resolve with precedence flag > config file > built-in default.
 The config file is INI-style `key = value` under [run], [model], [train],
 [synth], [eval] and [bench] sections; it may set any entry, and every value
 is checked whichever command runs. SETTINGS describes every setting once:
-its field, default, INI entry, flag, readers, parser, bound and help.
+its field, default, INI entry, flag, readers, parser, check and help.
 
 Randomness: one root seed (--seed) fans out to independent streams via
 SeedSequence([root, stream, ...context]), with stream tags INIT=0 for
@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import logging
-import math
 import os
 import sys
 from dataclasses import field, make_dataclass, replace
@@ -131,8 +130,8 @@ class Setting(NamedTuple):
     The RunConfig field and its default (None: every command that reads the
     field needs it), the INI entry ([section] key), the command-line flag,
     the commands that read the field (only they take the flag), the parser
-    turning the INI or flag text into a value, the lower bound (None: no
-    bound; for a tuple, on each entry) and the help.
+    turning the INI or flag text into a value, the check (None, or the phrase
+    a parsed value or tuple entry breaks, else False) and the help.
     """
 
     field: str
@@ -142,7 +141,7 @@ class Setting(NamedTuple):
     flag: str
     commands: tuple[str, ...]
     parse: Callable[[str], object]
-    least: int | None
+    check: Callable[[object], str | bool] | None
     help: str
 
 
@@ -166,6 +165,10 @@ def _parse_folds(text: str) -> str | int:
     return text if text == "all" else int(text)
 
 
+def _least(n: int) -> Callable[[object], str | bool]:
+    return lambda v: v < n and f"be >= {n}"
+
+
 def _parse_normalization(text: str) -> str:
     if text not in ("image", "dataset"):
         raise ValueError(f"must be 'image' or 'dataset', got {text!r}")
@@ -187,8 +190,8 @@ SETTINGS = (
     Setting("out", "runs", "run", "out", "--out", ("synth", "split", *FIT),
             str, None, "artifact directory"),
     Setting("seed", 0, "run", "seed", "--seed", ("synth", *FIT, "bench"),
-            int, 0, "root random seed"),
-    Setting("k", 5, "run", "k", "--k", ("split", *LOADS), int, 2,
+            int, _least(0), "root random seed"),
+    Setting("k", 5, "run", "k", "--k", ("split", *LOADS), int, _least(2),
             "number of folds"),
     Setting("fold_selector", "all", "run", "folds", "--folds", LOADS,
             _parse_folds, None, "fold selection: all or an index"),
@@ -197,38 +200,40 @@ SETTINGS = (
             "min/max scope for pixel scaling: image or dataset"),
     Setting("half_resolution", False, "run", "half_resolution", "--half",
             LOADS, _parse_bool, None, "halve image resolution when loading"),
-    Setting("q_order", ModelConfig.q_order, "model", "q", "--q",
-            (*FIT, "bench"), int, None, "polynomial order Q, 1..10"),
+    Setting("q_order", ModelConfig.q_order, "model", "q", "--q", (*FIT, "bench"),
+            int, lambda v: not 1 <= v <= 10 and "be in 1..10",
+            "polynomial order Q, 1..10"),
     Setting("filters", ModelConfig.block_filters, "model", "filters", "--filters",
-            BUILDS, _parse_int_tuple, 1, "filters per block, comma-separated"),
-    Setting("kernels", ModelConfig.kernel_sizes, "model", "kernels", "--kernels",
-            BUILDS, _parse_int_tuple, 1, "kernel size per block, comma-separated"),
+            BUILDS, _parse_int_tuple, _least(1), "filters per block, comma-separated"),
+    Setting("kernels", ModelConfig.kernel_sizes, "model", "kernels", "--kernels", BUILDS,
+            _parse_int_tuple, _least(1), "kernel size per block, comma-separated"),
     Setting("dense_units", ModelConfig.dense_units, "model", "dense",
-            "--dense", BUILDS, int, 1, "hidden dense units"),
+            "--dense", BUILDS, int, _least(1), "hidden dense units"),
     Setting("input_height", ModelConfig.input_shape[1], "model", "input_height",
             "--input-height", SIZES, int, None, "input rows when no data is loaded"),
     Setting("input_width", ModelConfig.input_shape[2], "model", "input_width",
             "--input-width", SIZES, int, None, "input columns when no data is loaded"),
     Setting("epochs", TrainConfig.max_epochs, "train", "epochs", "--epochs",
-            FIT, int, 1, "epoch budget"),
+            FIT, int, _least(1), "epoch budget"),
     Setting("batch", TrainConfig.batch_size, "train", "batch", "--batch",
-            FIT, int, 1, "batch size"),
-    Setting("lr", TrainConfig.learning_rate, "train", "lr", "--lr", FIT,
-            float, None, "initial learning rate"),
+            FIT, int, _least(1), "batch size"),
+    Setting("lr", TrainConfig.learning_rate, "train", "lr", "--lr", FIT, float,
+            lambda v: not 0 < v < float("inf") and "be a positive number",
+            "initial learning rate"),
     Setting("per_class", SynthConfig.per_class, "synth", "per_class",
-            "--per-class", ("synth",), int, 1, "images per class"),
+            "--per-class", ("synth",), int, _least(1), "images per class"),
     Setting("synth_height", SynthConfig.height, "synth", "height",
-            "--height", ("synth",), int, 8, "generated image rows"),
+            "--height", ("synth",), int, _least(8), "generated image rows"),
     Setting("synth_width", SynthConfig.width, "synth", "width", "--width",
-            ("synth",), int, 8, "generated image columns"),
+            ("synth",), int, _least(8), "generated image columns"),
     Setting("weights", None, "eval", "weights", "--weights", ("eval",), str,
             None, "weight file to load"),
     Setting("bench_images", 3, "bench", "images", "--bench-images",
-            ("bench",), int, 1, "random images per timing pass"),
+            ("bench",), int, _least(1), "random images per timing pass"),
     Setting("bench_warmup", 1, "bench", "warmup", "--warmup", ("bench",),
-            int, 0, "untimed warmup passes"),
+            int, _least(0), "untimed warmup passes"),
     Setting("bench_repeats", 3, "bench", "repeats", "--runs", ("bench",),
-            int, 1, "timed passes"),
+            int, _least(1), "timed passes"),
 )
 
 
@@ -236,16 +241,12 @@ def _validate(cfg, command: str) -> None:
     for s in SETTINGS:
         if s.default is None and command in s.commands and not getattr(cfg, s.field):
             raise UsageError(f"{command} needs {s.flag} (or [{s.section}] {s.key})")
-    if not 1 <= cfg.q_order <= 10:
-        raise UsageError(f"q must lie in 1..10, got {cfg.q_order}")
     if cfg.fold_selector != "all" and cfg.fold_selector >= cfg.k:
         raise UsageError(f"fold {cfg.fold_selector} outside 0..{cfg.k - 1}")
     if len(cfg.filters) != len(cfg.kernels):
         raise UsageError(
             f"{len(cfg.filters)} filter counts vs {len(cfg.kernels)} "
             "kernel sizes")
-    if not (math.isfinite(cfg.lr) and cfg.lr > 0):
-        raise UsageError(f"--lr must be a positive number, got {cfg.lr}")
     if command == "crossval" and cfg.fold_selector != "all":
         raise UsageError(f"--folds must be all for crossval, got {cfg.fold_selector}")
     if command in LOADS and cfg.k < 3:
@@ -269,14 +270,15 @@ def _convert(s: Setting, text: str, where: str) -> object:
     except ValueError as exc:
         raise UsageError(f"bad value for {where}: {exc}") from exc
     for v in value if isinstance(value, tuple) else (value,):
-        if s.least is not None and v < s.least:
-            raise UsageError(f"{where} must be >= {s.least}, got {v}")
+        if s.check and (broken := s.check(v)):
+            raise UsageError(f"{where} must {broken}, got {v}")
     return value
 
 
 def read_config_file(path) -> dict[str, object]:
-    """Parse an INI config into RunConfig field overrides."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    """Parse plain INI ('%' literal, [DEFAULT] not special) into field overrides."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None, default_section="")
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)

@@ -13,6 +13,7 @@ folds.
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -108,7 +109,8 @@ def pgm16_bytes(image: ThermalImage) -> bytes:
 
 
 def load_pgm16(path) -> ThermalImage:
-    return parse_pgm16(Path(path).read_bytes())
+    with open(path, "rb") as fh:
+        return parse_pgm16(fh.read())
 
 
 def write_pgm16(image: ThermalImage, path) -> None:
@@ -290,11 +292,11 @@ def load_dataset(manifest_path, half_resolution: bool = False,
     """
     manifest_path = Path(manifest_path)
     records = read_manifest(manifest_path)
-    root = manifest_path.parent
+    root = os.fsencode(manifest_path.parent)
     raw: list[ThermalImage] = []
     for rec in records:
         try:
-            img = load_pgm16(root / rec.path)
+            img = load_pgm16(os.path.join(root, rec.path.encode("utf-8")))
             if half_resolution:
                 img = resize_half(img)
         except (OSError, ValueError) as exc:

@@ -1,14 +1,18 @@
+import contextlib
+import io
 import logging
 import os
 import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from selfonn_kit import cli
 from selfonn_kit.data import load_dataset, make_cv_splits, stratified_ordered_kfold
@@ -121,6 +125,13 @@ class TestConfigResolution:
         ini.write_text("[train]\nepcohs = 7\n")
         with pytest.raises(cli.UsageError, match="epcohs"):
             cli.read_config_file(ini)
+
+    def test_percent_is_literal(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[run]\nmanifest = data/50%/manifest.tsv\n"
+                       "out = %(out)s\n")
+        assert cli.read_config_file(ini) == {
+            "manifest": "data/50%/manifest.tsv", "out": "%(out)s"}
 
     def test_bad_value_names_entry(self, tmp_path):
         ini = tmp_path / "run.ini"
@@ -237,6 +248,57 @@ class TestExitCodes:
                     "--manifest", tmp_path / "ghost.tsv"]) == cli.EXIT_USAGE
         assert "[train] batch in" in capsys.readouterr().err
 
+    def test_bad_q_and_lr_entries_checked_under_flags(self, tmp_path, capsys):
+        ini = tmp_path / "f.ini"
+        ini.write_text("[train]\nlr = -1\n[model]\nq = 11\n")
+        out = tmp_path / "out"
+        assert run(["train", "--config", ini, "--lr", "0.1", "--q", "2",
+                    "--manifest", tmp_path / "ghost.tsv",
+                    "--out", out]) == cli.EXIT_USAGE
+        assert "[train] lr in" in capsys.readouterr().err
+        assert not out.exists()
+        ini.write_text("[model]\nq = 11\n")
+        assert run(["params", "--config", ini]) == cli.EXIT_USAGE
+        assert (f"[model] q in {ini} must be in 1..10, got 11"
+                in capsys.readouterr().err)
+
+    def test_percent_in_manifest_reaches_filesystem(self, tmp_path, capsys):
+        ini = tmp_path / "p.ini"
+        ini.write_text("[run]\nmanifest = data/50%/manifest.tsv\n")
+        assert run(["split", "--config", ini,
+                    "--out", tmp_path / "out"]) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error") and "data/50%/manifest.tsv" in err
+
+    def test_default_section_is_an_unknown_section(self, tmp_path, capsys):
+        ini = tmp_path / "d.ini"
+        ini.write_text("[DEFAULT]\nseed = 3\n")
+        assert run(["params", "--config", ini]) == cli.EXIT_USAGE
+        assert "unknown config entry [DEFAULT] seed" in capsys.readouterr().err
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(["run", "model", "train", "synth", "eval", "bench",
+                         "DEFAULT", "extra"]),
+        st.sampled_from(sorted({s.key for s in cli.SETTINGS})
+                        + ["junk", "Q", "lr2", "é"]),
+        st.text("%():=;#,.- 0123456789abelnsy éßЖ漢", max_size=12)),
+        max_size=8))
+    def test_no_config_text_escapes_main(self, entries):
+        text = "".join(f"[{section}]\n{key} = {value}\n"
+                       for section, key, value in entries)
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            ini = Path(tmp) / "fuzz.ini"
+            ini.write_text(text, encoding="utf-8")
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["params", "--config", str(ini)])
+        assert code in (cli.EXIT_OK, cli.EXIT_USAGE)
+        if code == cli.EXIT_USAGE:
+            assert err.getvalue().startswith(("usage error:",
+                                              "configuration error:"))
+
     def test_missing_manifest_flag(self, capsys):
         assert run(["split"]) == cli.EXIT_USAGE
 
@@ -270,6 +332,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["train", "--batch", "0"], ["train", "--epochs", "0"],
         ["train", "--lr", "-1"], ["train", "--lr", "nan"],
+        ["train", "--lr", "0"], ["train", "--lr", "inf"], ["train", "--q", "11"],
         ["synth", "--per-class", "0"], ["synth", "--seed", "-1"],
         ["synth", "--height", "4"], ["bench", "--runs", "0"],
         ["bench", "--bench-images", "0"], ["bench", "--warmup", "-1"],
@@ -415,6 +478,27 @@ class TestSynthAndSplit:
              str(manifest), "--out", str(tmp_path / "out")],
             env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
+
+    def test_train_opens_utf8_image_paths_in_c_locale(self, corpus, tmp_path):
+        # café/ beside the manifest links to the corpus directory
+        (tmp_path / "café").symlink_to(corpus.parent, target_is_directory=True)
+        manifest = tmp_path / "m.tsv"
+        lines = corpus.read_text(encoding="utf-8").splitlines()
+        manifest.write_text("".join(f"café/{line}\n" for line in lines),
+                            encoding="utf-8")
+        argv = ["train", "--manifest", manifest, *TINY_MODEL, "--epochs", "1",
+                "--k", "3", "--seed", "3"]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, LC_ALL="C",
+                   PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        proc = subprocess.run(
+            [sys.executable, "-m", "selfonn_kit",
+             *map(str, argv), "--out", str(tmp_path / "c")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        assert run([*argv, "--out", tmp_path / "utf8"]) == cli.EXIT_OK
+        assert ((tmp_path / "c" / "q1_fold0.sonn").read_bytes()
+                == (tmp_path / "utf8" / "q1_fold0.sonn").read_bytes())
 
 
 class TestTrainEvalPipeline:

@@ -1,3 +1,4 @@
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -14,3 +15,46 @@ def test_desk_experiment_smoke(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "q=2 matched or beat q=1 in" in proc.stdout
     assert "seed 0 q=1: mean" in proc.stdout and "seed 0 q=2: mean" in proc.stdout
+
+
+def test_bench_pair_summary():
+    spec = importlib.util.spec_from_file_location("bench_pair",
+                                                  SCRIPTS / "bench_pair.py")
+    bench_pair = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pair)
+
+    def record(rate, ms, failed=0):
+        return {"failed": failed, "attempted": 100,
+                "metrics": {"a_items_per_s": {"value": rate, "unit": "1/s"},
+                            "a_ms_p50": {"value": ms, "unit": "ms"}}}
+
+    def trace(seconds):
+        return {"metrics": {"trace.absent_functions": {"value": 0},
+                            "ops.tanh_forward.calls": {"value": 7},
+                            "ops.tanh_forward.self_s": {"value": seconds}}}
+
+    # pair i is (head[i], rev[i]); head is faster in pairs 0 and 2 only
+    head = [record(10.0, 4.0), record(8.0, 6.0, failed=1), record(12.0, 2.0)]
+    rev = [record(9.0, 5.0), record(9.0, 5.0), record(11.0, 3.0)]
+    workloads = bench_pair.WORKLOADS
+    runs = {"head": {w: head for w in workloads},
+            "rev": {w: rev for w in workloads}}
+    traced = {"head": {w: trace(0.5) for w in workloads},
+              "rev": {w: trace(0.25) for w in workloads}}
+    end_to_end = [{"name": "a_items_per_s", "better": "higher", "bound": 0.15},
+                  {"name": "a_ms_p50", "better": "lower", "bound": 0.15}]
+    out = bench_pair.summarize(runs, traced, end_to_end)
+    assert set(out) == set(workloads)
+    rate = out["desk_train"]["end_to_end"]["a_items_per_s"]
+    assert rate["head"] == {"median": 10.0, "q1": 9.0, "q3": 11.0,
+                            "runs": [10.0, 8.0, 12.0]}
+    assert rate["rev"]["median"] == 9.0 and rate["rev"]["q1"] == 9.0
+    assert rate["rev"]["q3"] == 10.0
+    assert rate["head_wins"] == 2 and rate["pairs"] == 3
+    assert rate["median_ratio"] == 10.0 / 9.0 and rate["bound"] == 0.15
+    ms = out["desk_train"]["end_to_end"]["a_ms_p50"]
+    assert ms["head_wins"] == 2 and ms["head"]["median"] == 4.0
+    assert out["corpus_io"]["head"] == {"failed": 1, "attempted": 300,
+                                        "absent_functions": 0,
+                                        "self_s": {"ops.tanh_forward": 0.5}}
+    assert out["corpus_io"]["rev"]["self_s"] == {"ops.tanh_forward": 0.25}
