@@ -68,25 +68,22 @@ def derive_seed(root: int, *context: int) -> int:
     return int(np.random.SeedSequence([root, *context]).generate_state(1)[0])
 
 
-class FoldRun(NamedTuple):
-    """One trained cross-validation round and its test-fold scores."""
-
-    model: Model
-    result: FitResult
-    test_loss: float
-    test_accuracy: float
-    test_labels: np.ndarray
-    predictions: np.ndarray
+def score(model: Model, images, labels) -> tuple[float, MetricReport]:
+    """Mean loss and the metric report of a model on labelled images."""
+    loss, _, preds = evaluate(model, images, labels)
+    return loss, metric_report(confusion(labels, preds, len(CLASS_NAMES)))
 
 
 def train_fold(config: ModelConfig, dataset: Dataset, split: CvSplit,
-               seed: int, *, epochs: int, batch: int, lr: float) -> FoldRun:
+               seed: int, *, epochs: int, batch: int, lr: float,
+               out: Path | None = None) -> tuple[FitResult, MetricReport]:
     """Train on one CvSplit, keep the best validation epoch, score the test fold.
 
     Weights come from derive_seed(seed, STREAM_INIT, q, fold) and the batch
     shuffle from derive_seed(seed, STREAM_BATCH, q, fold), with q the
     config's order and fold the split's test fold, so a (seed, q, fold)
-    triple always trains the same bits.
+    triple always trains the same bits. Given an out directory, writes
+    q{Q}_fold{i}.sonn, then _epochs.tsv, then _report.txt there.
     """
     fold, q = split.test_fold, config.q_order
     train_x, train_y = dataset.subset(split.train_indices)
@@ -102,8 +99,22 @@ def train_fold(config: ModelConfig, dataset: Dataset, split: CvSplit,
                      "fold %d epoch %d: train %.4f val %.4f acc %.4f lr %.2g",
                      fold, r.epoch, r.train_loss, r.val_loss,
                      r.val_accuracy, r.learning_rate))
-    test_loss, test_acc, preds = evaluate(model, test_x, test_y)
-    return FoldRun(model, result, test_loss, test_acc, test_y, preds)
+    test_loss, report = score(model, test_x, test_y)
+    if out is not None:
+        stem = Path(out) / f"q{q}_fold{fold}"
+        save_weights(model, f"{stem}.sonn")
+        write_epoch_log(result.history, f"{stem}_epochs.tsv")
+        body = [f"test_fold {fold}", f"val_fold {split.val_fold}",
+                f"epochs_run {len(result.history)}",
+                f"best_epoch {result.best_epoch}",
+                f"best_val_loss {_fmt(result.best_val_loss)}",
+                f"stopped_early {int(result.stopped_early)}",
+                f"test_loss {_fmt(test_loss)}", "",
+                format_confusion(report.matrix, CLASS_NAMES), "",
+                format_metric_table(report, CLASS_NAMES)]
+        Path(f"{stem}_report.txt").write_text("\n".join(body) + "\n",
+                                              encoding="utf-8")
+    return result, report
 
 
 def paired_cv_study(config: ModelConfig, dataset: Dataset,
@@ -119,7 +130,7 @@ def paired_cv_study(config: ModelConfig, dataset: Dataset,
     """
     return {(seed, q): [train_fold(replace(config, q_order=q), dataset, split,
                                    seed, epochs=epochs, batch=batch,
-                                   lr=lr).test_accuracy
+                                   lr=lr)[1].accuracy
                         for split in splits]
             for seed in seeds for q in orders}
 
@@ -428,33 +439,6 @@ def cmd_split(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _train_and_write(cfg: RunConfig, config: ModelConfig, dataset: Dataset,
-                     split: CvSplit, out: Path) -> tuple[FoldRun, MetricReport]:
-    """train_fold with the run's settings, then write the round's artifacts.
-
-    Writes the weights, the epoch log and the test report, and returns the
-    run with its test-fold metric report.
-    """
-    run = train_fold(config, dataset, split, cfg.seed, epochs=cfg.epochs,
-                     batch=cfg.batch, lr=cfg.lr)
-    stem = out / f"q{config.q_order}_fold{split.test_fold}"
-    save_weights(run.model, f"{stem}.sonn")
-    write_epoch_log(run.result.history, f"{stem}_epochs.tsv")
-    report = metric_report(confusion(run.test_labels, run.predictions,
-                                     len(CLASS_NAMES)))
-    body = [f"test_fold {split.test_fold}",
-            f"val_fold {split.val_fold}",
-            f"epochs_run {len(run.result.history)}",
-            f"best_epoch {run.result.best_epoch}",
-            f"best_val_loss {_fmt(run.result.best_val_loss)}",
-            f"stopped_early {int(run.result.stopped_early)}",
-            f"test_loss {_fmt(run.test_loss)}", "",
-            format_confusion(report.matrix, CLASS_NAMES), "",
-            format_metric_table(report, CLASS_NAMES)]
-    Path(f"{stem}_report.txt").write_text("\n".join(body) + "\n", encoding="utf-8")
-    return run, report
-
-
 def _load_split_data(cfg: RunConfig):
     dataset = load_dataset(cfg.manifest,
                            half_resolution=cfg.half_resolution,
@@ -469,9 +453,10 @@ def cmd_train(cfg: RunConfig) -> int:
     # the architecture is checked against the images before --out exists
     config = _model_config(cfg, tuple(dataset.images[0].shape))
     split = splits[0 if cfg.fold_selector == "all" else cfg.fold_selector]
-    out = _out_dir(cfg)
-    run, report = _train_and_write(cfg, config, dataset, split, out)
-    print(f"fold {split.test_fold}: {len(run.result.history)} epochs, "
+    result, report = train_fold(config, dataset, split, cfg.seed,
+                                epochs=cfg.epochs, batch=cfg.batch,
+                                lr=cfg.lr, out=_out_dir(cfg))
+    print(f"fold {split.test_fold}: {len(result.history)} epochs, "
           f"test accuracy {report.accuracy:.6f}")
     print(format_metric_table(report, CLASS_NAMES))
     return EXIT_OK
@@ -484,7 +469,9 @@ def cmd_crossval(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     reports = []
     for split in splits:
-        _, report = _train_and_write(cfg, config, dataset, split, out)
+        _, report = train_fold(config, dataset, split, cfg.seed,
+                               epochs=cfg.epochs, batch=cfg.batch, lr=cfg.lr,
+                               out=out)
         reports.append(report)
         print(f"fold {split.test_fold}: test accuracy {report.accuracy:.6f}")
     agg = aggregate_folds(reports)
@@ -521,8 +508,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     else:
         images, labels = dataset.subset(splits[cfg.fold_selector].test_indices)
         scope = f"test fold {cfg.fold_selector}"
-    loss, acc, preds = evaluate(model, images, labels)
-    report = metric_report(confusion(labels, preds, len(CLASS_NAMES)))
+    loss, report = score(model, images, labels)
     print(f"evaluating {len(images)} samples ({scope})")
     print(f"loss {_fmt(loss)}")
     print(format_confusion(report.matrix, CLASS_NAMES))
@@ -533,25 +519,24 @@ def cmd_eval(cfg: RunConfig) -> int:
 def cmd_params(cfg: RunConfig) -> int:
     """print trainable-parameter counts for Q=1..5"""
     shape = (1, cfg.input_height, cfg.input_width)
-    print("q  parameters")
-    for q in range(1, 6):
-        n = param_count(_model_config(cfg, shape, q_order=q))
-        print(f"{q}  {n}")
+    rows = [f"{q}  {param_count(_model_config(cfg, shape, q_order=q))}"
+            for q in range(1, 6)]
+    print("\n".join(["q  parameters", *rows]))
     return EXIT_OK
 
 
 def cmd_bench(cfg: RunConfig) -> int:
     """time inference across polynomial orders"""
     shape = (1, cfg.input_height, cfg.input_width)
-    rng = np.random.default_rng(derive_seed(cfg.seed, STREAM_BENCH))
-    images = [rng.random(shape) for _ in range(cfg.bench_images)]
     qs = [cfg.q_order] if "q_order" in cfg.given else [1, 2, 3, 4, 5]
-    print(f"{cfg.bench_images} images per pass, {cfg.bench_warmup} warmup, "
-          f"{cfg.bench_repeats} timed passes")
-    print("q  mean_ms  std_ms  min_ms  max_ms")
     models = [build_model(_model_config(cfg, shape, q_order=q),
                           derive_seed(cfg.seed, STREAM_INIT, q, 0))
               for q in qs]
+    rng = np.random.default_rng(derive_seed(cfg.seed, STREAM_BENCH))
+    images = [rng.random(shape) for _ in range(cfg.bench_images)]
+    print(f"{cfg.bench_images} images per pass, {cfg.bench_warmup} warmup, "
+          f"{cfg.bench_repeats} timed passes")
+    print("q  mean_ms  std_ms  min_ms  max_ms")
     per_image_ms = 1e3 * bench_inference(models, images,
                                          warmup=cfg.bench_warmup,
                                          repeats=cfg.bench_repeats)

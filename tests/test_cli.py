@@ -393,6 +393,19 @@ class TestExitCodes:
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["params", "--input-height", "6", "--input-width", "6"],
+        ["params", "--input-height", "-3"],
+        ["bench", "--input-height", "6", "--input-width", "6", "--runs", "1",
+         "--bench-images", "1"],
+        ["bench", "--input-height", "-3", "--runs", "1", "--bench-images", "1"]],
+        ids=lambda argv: f"{argv[0]}{argv[2]}")
+    def test_bad_size_fails_before_any_output(self, argv, capsys):
+        assert run(argv) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "configuration error" in captured.err
+
     def test_eval_without_weights(self, corpus, capsys):
         assert run(["eval", "--manifest", corpus]) == cli.EXIT_USAGE
 
@@ -628,6 +641,25 @@ class TestSharedFoldPath:
 
         assert study == {(seed, q): explicit}
         assert printed == [f"{acc:.6f}" for acc in explicit]
+
+
+class TestRoundReport:
+    def test_report_rebuilt_from_saved_weights(self, corpus, tmp_path, capsys):
+        # eval of a round's saved weights on its test fold reprints the
+        # round's report: the loss bit for bit, then the same two tables
+        out, data = tmp_path / "cv", ["--manifest", corpus, "--k", "3"]
+        assert run(["crossval", *data, "--out", out, *TINY_MODEL,
+                    "--epochs", "1", "--batch", "4", "--q", "2",
+                    "--seed", "6"]) == cli.EXIT_OK
+        for fold in range(3):
+            head, matrix, table = (out / f"q2_fold{fold}_report.txt"
+                                   ).read_text().split("\n\n")
+            capsys.readouterr()
+            assert run(["eval", *data, "--folds", fold, "--weights",
+                        out / f"q2_fold{fold}.sonn"]) == cli.EXIT_OK
+            printed = capsys.readouterr().out.split("\n", 2)
+            assert printed[1] == "loss " + head.split("test_loss ")[1]
+            assert printed[2] == matrix + "\n" + table
 
 
 class TestBenchCommand:
