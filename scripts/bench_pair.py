@@ -7,7 +7,8 @@ from a fresh export). On each of SEEDS it runs each tree's own
 workload, alternating which tree goes first, then makes one `--trace 1`
 run per tree and workload. It writes, at the repository root:
 
-- the provenance line of the first run, and which commits were measured;
+- the provenance line of the first run, and which commits were measured,
+  with each tree's count of `src/**/*.py` lines;
 - for each workload and end-to-end metric of HEAD's BENCHMARK.json, both
   trees' median and quartiles, HEAD's pair wins and the median ratio;
 - each tree's failed and attempted operations, and from the traced runs
@@ -42,7 +43,14 @@ def export(rev: str, into: Path) -> dict:
                              check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
     return {"rev": rev, "commit": git("rev-parse", f"{rev}^{{commit}}"),
-            "src_tree": git("rev-parse", f"{rev}:src")}
+            "src_tree": git("rev-parse", f"{rev}:src"),
+            "src_lines": src_lines(into)}
+
+
+def src_lines(tree: Path) -> int:
+    """Lines of the Python sources under `tree`/src."""
+    return sum(len(p.read_bytes().splitlines())
+               for p in (tree / "src").rglob("*.py"))
 
 
 def perfbench(tree: Path, workload: str, seed: int, trace: int) -> dict:

@@ -38,7 +38,7 @@ from .data import (CLASS_NAMES, CvSplit, Dataset, ManifestError, PgmError,
                    stratified_ordered_kfold, make_cv_splits, write_fold_plan)
 from .model import (ConfigError, Model, ModelConfig, WeightFileError,
                     build_model, load_weights, param_count, save_weights)
-from .metrics import (MetricReport, aggregate_folds, bench_inference,
+from .metrics import (ConfusionMatrix, MetricReport, bench_inference,
                       confusion, format_confusion, format_metric_table,
                       metric_report)
 from .synth import SynthConfig, pixel_to_temperature, synth_generate
@@ -107,7 +107,7 @@ def train_fold(config: ModelConfig, dataset: Dataset, split: CvSplit,
         body = [f"test_fold {fold}", f"val_fold {split.val_fold}",
                 f"epochs_run {len(result.history)}",
                 f"best_epoch {result.best_epoch}",
-                f"best_val_loss {_fmt(result.best_val_loss)}",
+                f"best_val_loss {_fmt(result.history[result.best_epoch].val_loss)}",
                 f"stopped_early {int(result.stopped_early)}",
                 f"test_loss {_fmt(test_loss)}", "",
                 format_confusion(report.matrix, CLASS_NAMES), "",
@@ -474,18 +474,21 @@ def cmd_crossval(cfg: RunConfig) -> int:
                                out=out)
         reports.append(report)
         print(f"fold {split.test_fold}: test accuracy {report.accuracy:.6f}")
-    agg = aggregate_folds(reports)
+    # population std over the rounds; pooled rates from the summed counts
+    accs = [r.accuracy for r in reports]
+    f1s = [r.macro_f1 for r in reports]
+    pooled = metric_report(ConfusionMatrix(sum(r.matrix.counts for r in reports)))
     lines = [f"q {cfg.q_order}",
-             f"folds {agg.n_folds}",
-             f"accuracy_mean {_fmt(agg.accuracy_mean)}",
-             f"accuracy_std {_fmt(agg.accuracy_std)}",
+             f"folds {len(reports)}",
+             f"accuracy_mean {_fmt(np.mean(accs))}",
+             f"accuracy_std {_fmt(np.std(accs))}",
              # weighted recall equals accuracy in every report
-             f"weighted_recall_mean {_fmt(agg.accuracy_mean)}",
-             f"macro_f1_mean {_fmt(agg.macro_f1_mean)}",
-             f"macro_f1_std {_fmt(agg.macro_f1_std)}",
-             f"pooled_accuracy {_fmt(agg.pooled_accuracy)}", "",
+             f"weighted_recall_mean {_fmt(np.mean(accs))}",
+             f"macro_f1_mean {_fmt(np.mean(f1s))}",
+             f"macro_f1_std {_fmt(np.std(f1s))}",
+             f"pooled_accuracy {_fmt(pooled.accuracy)}", "",
              "pooled confusion:",
-             format_confusion(agg.pooled, CLASS_NAMES)]
+             format_confusion(pooled.matrix, CLASS_NAMES)]
     text = "\n".join(lines) + "\n"
     (out / f"q{cfg.q_order}_aggregate.txt").write_text(text, encoding="utf-8")
     print(text, end="")

@@ -1,4 +1,4 @@
-"""Classification metrics, fold aggregation, and inference timing.
+"""Classification metrics and inference timing.
 
 The confusion matrix is the single source of truth: every rate is derived
 from its integer counts. Support-weighted recall in particular is computed
@@ -110,40 +110,6 @@ def metric_report(matrix: ConfusionMatrix) -> MetricReport:
         # equality bit-exact.
         weighted_recall=accuracy,
         weighted_f1=float(np.dot(weights, f1)),
-    )
-
-
-@dataclass(frozen=True)
-class FoldAggregate:
-    """Cross-fold summary: per-fold spread plus the pooled matrix."""
-
-    n_folds: int
-    accuracy_mean: float
-    accuracy_std: float
-    macro_f1_mean: float
-    macro_f1_std: float
-    pooled: ConfusionMatrix
-    pooled_accuracy: float
-
-
-def aggregate_folds(reports: list[MetricReport]) -> FoldAggregate:
-    """Combine per-fold reports; the spreads are population std."""
-    if not reports:
-        raise ValueError("no fold reports to aggregate")
-    sizes = {r.matrix.n_classes for r in reports}
-    if len(sizes) != 1:
-        raise ValueError(f"fold reports disagree on class count: {sorted(sizes)}")
-    accs = [r.accuracy for r in reports]
-    f1s = [r.macro_f1 for r in reports]
-    pooled = ConfusionMatrix(sum(r.matrix.counts for r in reports))
-    return FoldAggregate(
-        n_folds=len(reports),
-        accuracy_mean=float(np.mean(accs)),
-        accuracy_std=float(np.std(accs)),
-        macro_f1_mean=float(np.mean(f1s)),
-        macro_f1_std=float(np.std(f1s)),
-        pooled=pooled,
-        pooled_accuracy=int(np.trace(pooled.counts)) / pooled.total,
     )
 
 

@@ -140,7 +140,6 @@ class EpochRecord:
 class FitResult:
     history: list[EpochRecord]
     best_epoch: int
-    best_val_loss: float
     stopped_early: bool
 
 
@@ -173,12 +172,13 @@ def evaluate(model: Model, images: list[Tensor] | np.ndarray,
     total = 0.0
     preds = np.empty(len(labels), dtype=np.int64)
     step = _pass_size(model)
-    for lo in range(0, len(labels), step):
-        chunk = slice(lo, lo + step)
-        logits, _ = model_forward(model, np.stack(images[chunk]))
-        losses, _ = ops.cross_entropy_with_softmax(logits, labels[chunk])
-        total = add_in_order(total, losses)
-        preds[chunk] = np.argmax(logits, axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(labels), step):
+            chunk = slice(lo, lo + step)
+            logits, _ = model_forward(model, np.stack(images[chunk]))
+            losses, _ = ops.cross_entropy_with_softmax(logits, labels[chunk])
+            total = add_in_order(total, losses)
+            preds[chunk] = np.argmax(logits, axis=-1)
     accuracy = float(np.mean(preds == labels))
     return total / len(labels), accuracy, preds
 
@@ -238,8 +238,10 @@ def fit(model: Model, train_images, train_labels, val_images, val_labels,
     stopped = False
     for epoch in range(config.max_epochs):
         order = rng.permutation(len(train_images))
-        train_loss = _train_epoch(model, train_images, train_labels, order,
-                                  config, adam, schedule.learning_rate, epoch)
+        # overflow need not warn: the finiteness checks catch divergence
+        with np.errstate(over="ignore", invalid="ignore"):
+            train_loss = _train_epoch(model, train_images, train_labels, order,
+                                      config, adam, schedule.learning_rate, epoch)
         val_loss, val_acc, _ = evaluate(model, val_images, val_labels)
         if not np.isfinite(val_loss):
             raise DivergenceError(f"non-finite validation loss at epoch {epoch}")
@@ -254,4 +256,4 @@ def fit(model: Model, train_images, train_labels, val_images, val_labels,
             stopped = True
             break
     stopper.restore(model)
-    return FitResult(history, stopper.best_epoch, float(stopper.best), stopped)
+    return FitResult(history, stopper.best_epoch, stopped)

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from selfonn_kit import cli
 from selfonn_kit.data import load_dataset, make_cv_splits, stratified_ordered_kfold
+from selfonn_kit.metrics import ConfusionMatrix, metric_report
 from selfonn_kit.model import ModelConfig, build_model, load_weights, save_weights
 from selfonn_kit.training import TrainConfig, evaluate, fit
 
@@ -299,6 +300,35 @@ class TestExitCodes:
             assert err.getvalue().startswith(("usage error:",
                                               "configuration error:"))
 
+    def test_missing_config_file(self, tmp_path, capsys):
+        assert run(["params", "--config", tmp_path / "ghost.ini"]) == cli.EXIT_USAGE
+        assert "cannot read config file" in capsys.readouterr().err
+
+    def test_other_value_errors_exit_2(self, corpus, tmp_path, capsys):
+        # the catch-all: 31 folds of the 30-image corpus
+        out = tmp_path / "out"
+        assert run(["crossval", "--manifest", corpus, "--out", out,
+                    *TINY_MODEL, "--k", "31"]) == cli.EXIT_DATA
+        assert (capsys.readouterr().err
+                == "error: need at least 31 samples, got 30\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "crossval"])
+    def test_divergence_exits_3(self, command, corpus, tmp_path, capsys):
+        # Adam's first step moves every weight by about lr, so the forward
+        # overflows; numpy's overflow warnings must not end the run first,
+        # even where warnings are errors
+        assert run([command, "--manifest", corpus, "--out", tmp_path / "out",
+                    "--k", "3", *TINY_MODEL, "--epochs", "3", "--batch", "4",
+                    "--lr", "1.7e308"]) == cli.EXIT_DIVERGED
+        assert capsys.readouterr().err.startswith("training diverged")
+
+    def test_saturated_run_exits_0(self, corpus, tmp_path, capsys):
+        # tanh saturates and every loss stays finite: not a divergence
+        assert run(["train", "--manifest", corpus, "--out", tmp_path / "out",
+                    "--k", "3", *TINY_MODEL, "--epochs", "1", "--batch", "4",
+                    "--lr", "4e306"]) == cli.EXIT_OK
+
     def test_missing_manifest_flag(self, capsys):
         assert run(["split"]) == cli.EXIT_USAGE
 
@@ -374,7 +404,8 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [("--filters", "4,,4"),
-                                            ("--kernels", "5,3,")])
+                                            ("--kernels", "5,3,"),
+                                            ("--normalization", "global")])
     def test_empty_list_entry_rejected(self, flag, value, tmp_path, capsys):
         out = tmp_path / "out"
         assert run(["train", "--manifest", tmp_path / "ghost.tsv",
@@ -593,6 +624,40 @@ class TestTrainEvalPipeline:
         assert "accuracy_mean" in agg and "pooled_accuracy" in agg
         assert "pooled confusion:" in agg
         assert agg in stdout
+
+
+class TestCrossvalAggregate:
+    """The aggregate derives from the rounds' reports alone."""
+
+    MATRICES = ([[3, 1, 0], [0, 3, 0], [0, 1, 2]],
+                [[4, 0, 0], [0, 3, 0], [0, 0, 3]],
+                [[2, 1, 1], [1, 2, 0], [0, 1, 2]])
+
+    def test_spreads_and_pooled_table(self, corpus, tmp_path, monkeypatch,
+                                      capsys):
+        reports = iter(metric_report(ConfusionMatrix(np.array(rows, np.int64)))
+                       for rows in self.MATRICES)
+        monkeypatch.setattr(cli, "train_fold",
+                            lambda *args, **kwargs: (None, next(reports)))
+        out = tmp_path / "cv"
+        assert run(["crossval", "--manifest", corpus, "--out", out,
+                    "--k", "3", *TINY_MODEL]) == cli.EXIT_OK
+        head, table = (out / "q1_aggregate.txt").read_text().split(
+            "\npooled confusion:\n")
+        values = {key: float(v) for key, v in
+                  (line.split() for line in head.splitlines() if line)}
+        # per-class F1 of each round, worked by hand; spreads are population std
+        f1 = [(6 / 7 + 3 / 4 + 4 / 5) / 3, 1.0, (4 / 7 + 4 / 7 + 2 / 3) / 3]
+        f1_mean = sum(f1) / 3
+        assert f1 == pytest.approx([0.80238, 1.0, 0.60317], abs=5e-6)
+        assert values == pytest.approx({
+            "q": 1, "folds": 3, "accuracy_mean": 0.8,
+            "accuracy_std": (0.08 / 3) ** 0.5, "weighted_recall_mean": 0.8,
+            "macro_f1_mean": f1_mean,
+            "macro_f1_std": (sum((x - f1_mean) ** 2 for x in f1) / 3) ** 0.5,
+            "pooled_accuracy": 24 / 30})
+        assert table.splitlines()[1].split() == ["healthy", "9", "2", "1"]
+        assert "fold 2: test accuracy 0.600000" in capsys.readouterr().out
 
 
 class TestSharedFoldPath:

@@ -114,42 +114,6 @@ class TestMetricReport:
         assert report.macro_f1 == 1.0
 
 
-class TestAggregate:
-    def make_reports(self):
-        return [m.metric_report(cm([[4, 1], [0, 5]])),
-                m.metric_report(cm([[5, 0], [1, 4]])),
-                m.metric_report(cm([[3, 2], [0, 5]]))]
-
-    def test_mean_and_population_std(self):
-        agg = m.aggregate_folds(self.make_reports())
-        accs = [9 / 10, 9 / 10, 8 / 10]
-        assert agg.n_folds == 3
-        assert agg.accuracy_mean == pytest.approx(np.mean(accs))
-        assert agg.accuracy_std == pytest.approx(np.std(accs))
-
-    def test_single_fold_spread_is_zero(self):
-        agg = m.aggregate_folds([m.metric_report(cm([[4, 1], [0, 5]]))])
-        assert agg.accuracy_std == 0.0
-        assert agg.macro_f1_std == 0.0
-
-    def test_pooled_matrix_sums_counts(self):
-        reports = self.make_reports()
-        agg = m.aggregate_folds(reports)
-        expected = sum(r.matrix.counts for r in reports)
-        assert np.array_equal(agg.pooled.counts, expected)
-        assert agg.pooled_accuracy == 26 / 30
-
-    def test_rejects_mixed_class_counts(self):
-        bad = [m.metric_report(cm([[1, 0], [0, 1]])),
-               m.metric_report(cm(np.diag([1, 1, 1])))]
-        with pytest.raises(ValueError, match="class count"):
-            m.aggregate_folds(bad)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            m.aggregate_folds([])
-
-
 class TestBench:
     def tiny_model(self, seed=0):
         config = ModelConfig(q_order=1, input_shape=(1, 12, 12),

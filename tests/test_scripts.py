@@ -17,11 +17,27 @@ def test_desk_experiment_smoke(tmp_path):
     assert "seed 0 q=1: mean" in proc.stdout and "seed 0 q=2: mean" in proc.stdout
 
 
-def test_bench_pair_summary():
+def load_bench_pair():
     spec = importlib.util.spec_from_file_location("bench_pair",
                                                   SCRIPTS / "bench_pair.py")
     bench_pair = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pair)
+    return bench_pair
+
+
+def test_bench_pair_src_lines(tmp_path):
+    pkg = tmp_path / "src" / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\ny = 2\n", encoding="utf-8")
+    (pkg / "sub").mkdir()
+    (pkg / "sub" / "b.py").write_text("\n\nz = 3", encoding="utf-8")
+    (pkg / "notes.txt").write_text("not\ncounted\n", encoding="utf-8")
+    (tmp_path / "top.py").write_text("outside = True\n", encoding="utf-8")
+    assert load_bench_pair().src_lines(tmp_path) == 5
+
+
+def test_bench_pair_summary():
+    bench_pair = load_bench_pair()
 
     def record(rate, ms, failed=0):
         return {"failed": failed, "attempted": 100,

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import astuple
 from pathlib import Path
 
@@ -139,6 +140,21 @@ class TestEvaluate:
         assert preds.shape == (6,)
         assert 0.0 <= acc <= 1.0
         assert loss > 0.0
+
+    def test_overflow_does_not_warn(self):
+        # the hidden layer overflows to inf and tanh saturates it to +-1:
+        # the logits stay finite, so this is a result, not a divergence
+        cfg = ModelConfig(q_order=2, input_shape=(1, 12, 14), block_filters=(2,),
+                          kernel_sizes=(3,), dense_units=4, classes=3)
+        m = build_model(cfg, 0)
+        m.hidden.weights[...] = 1e308
+        r = np.random.default_rng(1)
+        images = [r.random((1, 12, 14)) for _ in range(4)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, acc, preds = evaluate(m, images, np.array([0, 1, 2, 0]))
+        assert np.isfinite(loss)
+        assert acc == 0.5 and preds.tolist() == [0, 0, 0, 0]
 
     def test_rejects_mismatch_and_empty(self):
         m = build_model(TINY, 3)
