@@ -204,7 +204,7 @@ SETTINGS = (
             int, _least(0), "root random seed"),
     Setting("k", 5, "run", "k", "--k", ("split", *LOADS), int, _least(2),
             "number of folds"),
-    Setting("fold_selector", "all", "run", "folds", "--folds", LOADS,
+    Setting("fold_selector", "all", "run", "folds", "--folds", ("train", "eval"),
             _parse_folds, None, "fold selection: all or an index"),
     Setting("normalization", "image", "run", "normalization",
             "--normalization", LOADS, _parse_normalization, None,
@@ -258,8 +258,6 @@ def _validate(cfg, command: str) -> None:
         raise UsageError(
             f"{len(cfg.filters)} filter counts vs {len(cfg.kernels)} "
             "kernel sizes")
-    if command == "crossval" and cfg.fold_selector != "all":
-        raise UsageError(f"--folds must be all for crossval, got {cfg.fold_selector}")
     if command in LOADS and cfg.k < 3:
         # each round needs distinct test and validation folds and one to train on
         raise UsageError(f"--k must be >= 3 to train or evaluate, got {cfg.k}")
@@ -291,7 +289,7 @@ def read_config_file(path) -> dict[str, object]:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
                                        interpolation=None, default_section="")
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             parser.read_file(fh)
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc

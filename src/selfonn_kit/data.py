@@ -127,22 +127,20 @@ def resize_half(image: ThermalImage) -> ThermalImage:
     return ThermalImage(((sums + 2) // 4).astype(np.uint16))
 
 
-def normalize_minmax(image: ThermalImage,
-                     bounds: tuple[float, float] | None = None) -> np.ndarray:
-    """Map pixels to [0, 1) via (p - lo) / (hi - lo + 1e-8).
+def _rescale(p: np.ndarray) -> np.ndarray:
+    """Map float pixels to [0, 1) in place via (p - lo) / (hi - lo + 1e-8)."""
+    lo, hi = float(p.min()), float(p.max())
+    p -= lo
+    p /= hi - lo + 1e-8
+    return p
 
-    With no bounds, lo and hi are this image's own extremes, so a constant
-    image maps to all zeros. Passing shared (lo, hi) bounds puts every
-    image of a corpus on one common scale instead.
+
+def normalize_minmax(image: ThermalImage) -> np.ndarray:
+    """Map pixels to [0, 1) by this image's own extremes.
+
+    A constant image maps to all zeros.
     """
-    p = image.pixels.astype(np.float64)
-    if bounds is None:
-        lo, hi = float(p.min()), float(p.max())
-    else:
-        lo, hi = float(bounds[0]), float(bounds[1])
-        if hi < lo:
-            raise ValueError(f"bounds ({lo}, {hi}) are reversed")
-    return (p - lo) / (hi - lo + 1e-8)
+    return _rescale(image.pixels.astype(np.float64))
 
 
 @dataclass(frozen=True)
@@ -158,7 +156,7 @@ class SampleRecord:
 def read_manifest(path) -> list[SampleRecord]:
     """Parse `relative/path<TAB>class` lines; blank lines are skipped."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ManifestError(f"manifest {path} is not UTF-8: {exc}") from exc
     records = []
@@ -262,7 +260,7 @@ def write_fold_plan(plan: FoldPlan, path) -> None:
 class Dataset:
     """Normalized model inputs plus integer labels, in manifest order."""
 
-    images: list[np.ndarray]        # each (1, H, W) float64
+    images: np.ndarray              # (N, 1, H, W) float64
     labels: np.ndarray              # int64
 
     def __len__(self) -> int:
@@ -273,43 +271,34 @@ class Dataset:
         return [self.images[i] for i in idx], self.labels[idx]
 
 
-def dataset_pixel_bounds(images: list[ThermalImage]) -> tuple[int, int]:
-    """Raw pixel extremes across a whole corpus."""
-    if not images:
-        raise ValueError("no images given")
-    lo = min(int(im.pixels.min()) for im in images)
-    hi = max(int(im.pixels.max()) for im in images)
-    return lo, hi
-
-
 def load_dataset(manifest_path, half_resolution: bool = False,
                  shared_bounds: bool = False) -> Dataset:
     """Load every manifest entry, optionally downscale, then normalize.
 
-    All images must share one shape after the optional halving. With
-    `shared_bounds` the min/max are taken over the whole corpus (after
+    All images must share one shape after the optional halving; their
+    pixels go straight into one (N, 1, H, W) buffer, rescaled in place.
+    With `shared_bounds` the min/max are taken over the whole corpus (after
     resizing) so pixel values stay comparable across images.
     """
     manifest_path = Path(manifest_path)
     records = read_manifest(manifest_path)
     root = os.fsencode(manifest_path.parent)
-    raw: list[ThermalImage] = []
-    for rec in records:
+    images = None
+    for i, rec in enumerate(records):
         try:
             img = load_pgm16(os.path.join(root, rec.path.encode("utf-8")))
             if half_resolution:
                 img = resize_half(img)
         except (OSError, ValueError) as exc:
             raise ManifestError(f"cannot load {rec.path}: {exc}") from exc
-        if raw and img.pixels.shape != raw[0].pixels.shape:
+        if images is None:
+            images = np.empty((len(records), 1, *img.pixels.shape))
+        elif img.pixels.shape != images.shape[2:]:
             raise ManifestError(
                 f"{rec.path} has shape {img.pixels.shape}, expected "
-                f"{raw[0].pixels.shape} like the rest of the corpus")
-        raw.append(img)
-    bounds = None
-    if shared_bounds:
-        lo, hi = dataset_pixel_bounds(raw)
-        bounds = (float(lo), float(hi))
-    images = [normalize_minmax(im, bounds)[None, :, :] for im in raw]
+                f"{images.shape[2:]} like the rest of the corpus")
+        images[i, 0] = img.pixels
+    for part in [images] if shared_bounds else images:
+        _rescale(part)
     labels = np.array([r.label for r in records], dtype=np.int64)
     return Dataset(images, labels)

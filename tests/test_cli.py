@@ -34,14 +34,14 @@ def corpus(tmp_path_factory):
 
 
 # Every subcommand's flags besides --help and --config: exactly the
-# settings the command reads, 57 command-flag pairs in all.
-FIT_FLAGS = ["--manifest", "--out", "--seed", "--k", "--folds",
-             "--normalization", "--half", "--q", "--filters", "--kernels",
-             "--dense", "--epochs", "--batch", "--lr"]
+# settings the command reads, 56 command-flag pairs in all.
+CROSSVAL_FLAGS = ["--manifest", "--out", "--seed", "--k", "--normalization",
+                  "--half", "--q", "--filters", "--kernels", "--dense",
+                  "--epochs", "--batch", "--lr"]
 HELP_FLAGS = {"synth": ["--out", "--seed", "--per-class", "--height",
                         "--width"],
               "split": ["--manifest", "--out", "--k"],
-              "train": FIT_FLAGS, "crossval": FIT_FLAGS,
+              "train": [*CROSSVAL_FLAGS, "--folds"], "crossval": CROSSVAL_FLAGS,
               "eval": ["--manifest", "--k", "--folds", "--normalization",
                        "--half", "--weights"],
               "params": ["--filters", "--kernels", "--dense",
@@ -161,6 +161,13 @@ class TestConfigResolution:
         assert cfg.fold_selector == 2
         with pytest.raises(cli.UsageError, match="bad value for --folds"):
             cli.build_run_config(self.parse(["eval", "--folds", "-1"]))
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        plain = tmp_path / "plain.ini"
+        plain.write_text("[run]\nk = 4\n[model]\ndense = 4\n")
+        marked = tmp_path / "marked.ini"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert cli.read_config_file(marked) == cli.read_config_file(plain)
 
     def test_validation_catches_mismatched_blocks(self):
         with pytest.raises(cli.UsageError, match="kernel"):
@@ -313,21 +320,33 @@ class TestExitCodes:
                 == "error: need at least 31 samples, got 30\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["train", "crossval"])
-    def test_divergence_exits_3(self, command, corpus, tmp_path, capsys):
-        # Adam's first step moves every weight by about lr, so the forward
-        # overflows; numpy's overflow warnings must not end the run first,
-        # even where warnings are errors
+    # 1.7e308: Adam's first step moves every weight by about lr, so the
+    # forward overflows; numpy's overflow warnings must not end the run
+    # first, even where warnings are errors. 1e307 trains with finite
+    # losses and first overflows in the validation pass.
+    @pytest.mark.parametrize("command,lr,message", [
+        ("train", "1.7e308", ""), ("crossval", "1.7e308", ""),
+        ("train", "1e307", "non-finite validation loss at epoch 0")],
+        ids=["train", "crossval", "train-validation"])
+    def test_divergence_exits_3(self, command, lr, message, corpus, tmp_path,
+                                capsys):
         assert run([command, "--manifest", corpus, "--out", tmp_path / "out",
                     "--k", "3", *TINY_MODEL, "--epochs", "3", "--batch", "4",
-                    "--lr", "1.7e308"]) == cli.EXIT_DIVERGED
-        assert capsys.readouterr().err.startswith("training diverged")
+                    "--lr", lr]) == cli.EXIT_DIVERGED
+        err = capsys.readouterr().err
+        assert err.startswith("training diverged") and message in err
 
     def test_saturated_run_exits_0(self, corpus, tmp_path, capsys):
         # tanh saturates and every loss stays finite: not a divergence
         assert run(["train", "--manifest", corpus, "--out", tmp_path / "out",
                     "--k", "3", *TINY_MODEL, "--epochs", "1", "--batch", "4",
                     "--lr", "4e306"]) == cli.EXIT_OK
+
+    def test_bad_boolean_entry(self, tmp_path, capsys):
+        ini = tmp_path / "b.ini"
+        ini.write_text("[run]\nhalf_resolution = maybe\n")
+        assert run(["params", "--config", ini]) == cli.EXIT_USAGE
+        assert "not a boolean: 'maybe'" in capsys.readouterr().err
 
     def test_missing_manifest_flag(self, capsys):
         assert run(["split"]) == cli.EXIT_USAGE
@@ -342,6 +361,17 @@ class TestExitCodes:
         assert run(["split", "--manifest", bad,
                     "--out", tmp_path]) == cli.EXIT_DATA
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,message", [
+        (b"healthy/00000.pgm\thealthy\xff\n", "is not UTF-8"),
+        (b"healthy/00000.pgm\t\n", "empty path or class")],
+        ids=["not_utf8", "empty_class"])
+    def test_bad_manifest_text(self, text, message, tmp_path, capsys):
+        bad = tmp_path / "m.tsv"
+        bad.write_bytes(text)
+        assert run(["split", "--manifest", bad,
+                    "--out", tmp_path]) == cli.EXIT_DATA
+        assert message in capsys.readouterr().err
 
     def test_impossible_architecture(self, tmp_path, capsys):
         # a 5x5 kernel cannot survive three halvings of a 16-pixel row
@@ -368,7 +398,7 @@ class TestExitCodes:
         ["bench", "--bench-images", "0"], ["bench", "--warmup", "-1"],
         ["train", "--dense", "0"], ["train", "--filters", "4,0,4"],
         ["train", "--kernels", "5,0,2"], ["train", "--k", "2"],
-        ["crossval", "--k", "2"], ["crossval", "--folds", "1"],
+        ["crossval", "--k", "2"],
         ["eval", "--k", "2", "--weights", "ghost.sonn"]],
         ids=lambda argv: f"{argv[0]}{argv[1]}={argv[2]}")
     def test_bad_setting_rejected_before_data(self, argv, tmp_path, capsys):
@@ -392,6 +422,7 @@ class TestExitCodes:
         ["synth", "--out", "D", "--per-class", "1", "--height", "8",
          "--width", "8", "--epochs", "2"],
         ["split", "--manifest", "ghost.tsv", "--seed", "1"],
+        ["crossval", "--folds", "1"],
         ["bench", "--input-height", "10", "--input-width", "10",
          "--filters", "1", "--kernels", "2", "--dense", "2",
          "--bench-images", "1", "--warmup", "0", "--runs", "1",
@@ -658,6 +689,19 @@ class TestCrossvalAggregate:
             "pooled_accuracy": 24 / 30})
         assert table.splitlines()[1].split() == ["healthy", "9", "2", "1"]
         assert "fold 2: test accuracy 0.600000" in capsys.readouterr().out
+
+    def test_config_with_folds_serves_crossval(self, corpus, tmp_path, capsys):
+        # crossval trains every round and ignores [run] folds, an entry
+        # that train and eval read
+        ini = tmp_path / "f.ini"
+        ini.write_text(f"[run]\nmanifest = {corpus}\nk = 3\nfolds = 1\n"
+                       "[model]\nfilters = 2\nkernels = 3\ndense = 4\n"
+                       "[train]\nepochs = 1\n")
+        assert run(["train", "--config", ini, "--out", tmp_path / "A"]) == cli.EXIT_OK
+        assert (tmp_path / "A" / "q1_fold1.sonn").exists()
+        assert run(["crossval", "--config", ini,
+                    "--out", tmp_path / "B"]) == cli.EXIT_OK
+        assert (tmp_path / "B" / "q1_aggregate.txt").exists()
 
 
 class TestSharedFoldPath:

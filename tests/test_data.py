@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,6 +45,15 @@ class TestPgm:
         raw = b"P5 # binary graymap\n # size next\n 2\t1 \n65535\n" + b"\x00\x01\x00\x02"
         back = d.parse_pgm16(raw)
         assert back.pixels.tolist() == [[1, 2]]
+
+    @pytest.mark.parametrize("raw,message", [
+        (b"P5 4 4", "header ends prematurely at byte 6"),
+        (b"P5 0 4 65535\n", "image dimensions 0x4 are not positive"),
+        (b"P5 4 4 65535", "expected single whitespace after maxval at byte 12"),
+    ], ids=["no_maxval", "zero_width", "no_separator"])
+    def test_header_rejected(self, raw, message):
+        with pytest.raises(d.PgmError, match=message):
+            d.parse_pgm16(raw)
 
     def test_bad_magic_offset(self):
         with pytest.raises(d.PgmError, match="byte 0"):
@@ -126,15 +136,6 @@ class TestNormalize:
         out = d.normalize_minmax(img([[0, 65535]]))
         assert out[0, 1] == 65535 / (65535 + 1e-8)
 
-    def test_shared_bounds_mode(self):
-        a = img([[100, 200]])
-        out = d.normalize_minmax(a, bounds=(0.0, 1000.0))
-        assert np.allclose(out, [[0.1, 0.2]], atol=1e-9)
-
-    def test_reversed_bounds_rejected(self):
-        with pytest.raises(ValueError, match="reversed"):
-            d.normalize_minmax(img([[1]]), bounds=(5.0, 1.0))
-
 
 class TestManifest:
     def test_roundtrip(self, tmp_path):
@@ -168,6 +169,13 @@ class TestManifest:
         path.write_text("\n\n")
         with pytest.raises(d.ManifestError, match="no samples"):
             d.read_manifest(path)
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        plain = tmp_path / "m.tsv"
+        plain.write_text("a/0.pgm\thealthy\nb/1.pgm\tbroken_rotor\n")
+        marked = tmp_path / "marked.tsv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert d.read_manifest(marked) == d.read_manifest(plain)
 
 
 class TestFolds:
@@ -280,10 +288,11 @@ class TestLoadDataset:
     def test_shared_bounds(self, tmp_path):
         manifest = self.make_corpus(tmp_path)
         ds = d.load_dataset(manifest, shared_bounds=True)
-        for i, image in enumerate(ds.images):
-            raw = d.load_pgm16(tmp_path / f"img{i}.pgm")
-            assert np.array_equal(image[0],
-                                  d.normalize_minmax(raw, bounds=(0.0, 4000.0)))
+        # one scale for the corpus: the images side by side, rescaled as one
+        raw = np.hstack([d.load_pgm16(tmp_path / f"img{i}.pgm").pixels
+                         for i in range(4)])
+        assert np.array_equal(np.hstack([image[0] for image in ds.images]),
+                              d.normalize_minmax(d.ThermalImage(raw)))
         # the brightest pixel of the dimmest image is far below 1
         assert ds.images[0].max() < 0.5
 
@@ -332,8 +341,18 @@ class TestLoadDataset:
         assert labels.tolist() == [2, 0]
         assert np.array_equal(images[1], ds.images[0])
 
-    def test_pixel_bounds(self):
-        images = [img([[5, 10]]), img([[3, 7]])]
-        assert d.dataset_pixel_bounds(images) == (3, 10)
-        with pytest.raises(ValueError):
-            d.dataset_pixel_bounds([])
+    @pytest.mark.parametrize("shared", [False, True], ids=["image", "dataset"])
+    def test_one_buffer_while_loading(self, shared, tmp_path):
+        # The corpus is held once, as the normalized floats: the traced
+        # peak beyond that buffer stays under four float images.
+        manifest = synth_generate(tmp_path, SynthConfig(per_class=14, height=64,
+                                                        width=80, seed=3))
+        tracemalloc.start()
+        try:
+            ds = d.load_dataset(manifest, shared_bounds=shared)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert isinstance(ds.images, np.ndarray)
+        assert ds.images.shape == (42, 1, 64, 80)
+        assert peak - ds.images.nbytes < 4 * 64 * 80 * 8

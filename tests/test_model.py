@@ -70,6 +70,8 @@ class TestConfig:
         dict(block_filters=(8, 8, 65536)),
         dict(dense_units=70000),
         dict(classes=65536),
+        dict(block_filters=(), kernel_sizes=()),
+        dict(block_filters=(0,), kernel_sizes=(3,)),
     ])
     def test_invalid_configs(self, kwargs):
         with pytest.raises(sm.ConfigError):
@@ -306,6 +308,17 @@ class TestWeightFiles:
         raw = bytearray(self.roundtrip(m).getvalue())
         raw[4] = 9
         with pytest.raises(sm.WeightFileError, match="version"):
+            self.load_bytes(raw)
+
+    # u16 header fields set to zero: the block count, then q_order
+    @pytest.mark.parametrize("offset,message", [
+        (14, "header declares zero blocks"),
+        (6, "stored configuration is invalid: q_order must be >= 1, got 0")],
+        ids=["blocks", "q_order"])
+    def test_zero_header_field_rejected(self, offset, message):
+        raw = bytearray(self.roundtrip(sm.build_model(REDUCED, 2)).getvalue())
+        raw[offset:offset + 2] = bytes(2)
+        with pytest.raises(sm.WeightFileError, match=message):
             self.load_bytes(raw)
 
     # Together the cases load every proper prefix of the file.
