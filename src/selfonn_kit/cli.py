@@ -199,7 +199,7 @@ SETTINGS = (
     Setting("manifest", None, "run", "manifest", "--manifest",
             ("split", *LOADS), str, None, "dataset manifest"),
     Setting("out", "runs", "run", "out", "--out", ("synth", "split", *FIT),
-            str, None, "artifact directory"),
+            str, lambda v: not v and "name a directory", "artifact directory"),
     Setting("seed", 0, "run", "seed", "--seed", ("synth", *FIT, "bench"),
             int, _least(0), "root random seed"),
     Setting("k", 5, "run", "k", "--k", ("split", *LOADS), int, _least(2),
@@ -280,7 +280,7 @@ def _convert(s: Setting, text: str, where: str) -> object:
         raise UsageError(f"bad value for {where}: {exc}") from exc
     for v in value if isinstance(value, tuple) else (value,):
         if s.check and (broken := s.check(v)):
-            raise UsageError(f"{where} must {broken}, got {v}")
+            raise UsageError(f"{where} must {broken}, got {v!r}")
     return value
 
 

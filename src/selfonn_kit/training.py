@@ -7,9 +7,9 @@ The loop is single-threaded and fully deterministic for a given seed: the
 per-epoch shuffle comes from one seeded generator, and both callbacks see
 the validation loss in a fixed order (schedule first, then the stopper).
 Training batches and evaluation sets run as batch-major passes over
-[N, C, H, W] (see _PASS_PIXELS). Per-sample gradients and losses are still
-added in sample order, so every result is bitwise that of a loop over
-single samples.
+[N, C, H, W], all cut, gathered and run by _forward_passes. Per-sample
+gradients and losses are still added in sample order, so every result is
+bitwise that of a loop over single samples.
 """
 
 from __future__ import annotations
@@ -152,62 +152,41 @@ class FitResult:
 _PASS_PIXELS = 256 * 320
 
 
-def _pass_size(model: Model) -> int:
-    """Samples per forward/backward pass for this model's input shape."""
-    return max(1, _PASS_PIXELS // int(np.prod(model.config.input_shape)))
+def _check_set(images, labels, name: str) -> None:
+    if len(images) != len(labels):
+        raise ops.DimensionError(f"{len(images)} {name} images vs {len(labels)} labels")
+    if len(images) == 0:
+        raise ValueError(f"the {name} set is empty")
+
+
+def _forward_passes(model: Model, images, order: np.ndarray, train_mode=False):
+    """Yield (part, logits, cache) for the images at `order`, a pass at a time.
+
+    A pass holds _PASS_PIXELS input pixels (at least one image). The stacked
+    input is dropped when the forward returns; the cache keeps only what
+    the backward needs.
+    """
+    step = max(1, _PASS_PIXELS // int(np.prod(model.config.input_shape)))
+    for lo in range(0, len(order), step):
+        part = order[lo:lo + step]
+        yield (part, *model_forward(model, np.stack([images[i] for i in part]),
+                                    train_mode=train_mode))
 
 
 def evaluate(model: Model, images: list[Tensor] | np.ndarray,
              labels: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """Mean loss, accuracy, and per-sample argmax predictions.
-
-    Runs one forward pass per _pass_size() images.
-    """
-    if len(images) != len(labels):
-        raise ops.DimensionError(
-            f"{len(images)} images vs {len(labels)} labels")
-    if len(images) == 0:
-        raise ValueError("cannot evaluate on an empty set")
+    """Mean loss, accuracy, and per-sample argmax predictions."""
+    _check_set(images, labels, "evaluation")
     labels = np.asarray(labels)
     total = 0.0
     preds = np.empty(len(labels), dtype=np.int64)
-    step = _pass_size(model)
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, len(labels), step):
-            chunk = slice(lo, lo + step)
-            logits, _ = model_forward(model, np.stack(images[chunk]))
-            losses, _ = ops.cross_entropy_with_softmax(logits, labels[chunk])
+        for part, logits, _ in _forward_passes(model, images, np.arange(len(labels))):
+            losses, _ = ops.cross_entropy_with_softmax(logits, labels[part])
             total = add_in_order(total, losses)
-            preds[chunk] = np.argmax(logits, axis=-1)
+            preds[part] = np.argmax(logits, axis=-1)
     accuracy = float(np.mean(preds == labels))
     return total / len(labels), accuracy, preds
-
-
-def _train_epoch(model: Model, images, labels, order: np.ndarray,
-                 config: TrainConfig, adam: AdamState, lr: float,
-                 epoch: int) -> float:
-    """One pass over the training set; returns the mean per-sample loss."""
-    total = 0.0
-    step = _pass_size(model)
-    n_batches = (len(order) + config.batch_size - 1) // config.batch_size
-    for b in range(n_batches):
-        batch = order[b * config.batch_size:(b + 1) * config.batch_size]
-        grads = np.zeros_like(model.flat)
-        batch_loss = 0.0
-        for lo in range(0, len(batch), step):
-            part = batch[lo:lo + step]
-            logits, cache = model_forward(model, np.stack([images[i] for i in part]),
-                                          train_mode=True)
-            losses, grad_logits = ops.cross_entropy_with_softmax(logits, labels[part])
-            model_backward(model, cache, grad_logits, input_grad=False, grads=grads)
-            batch_loss = add_in_order(batch_loss, losses)
-        grads /= len(batch)
-        if not np.isfinite(batch_loss) or not np.all(np.isfinite(grads)):
-            raise DivergenceError(
-                f"non-finite loss or gradient at epoch {epoch}, batch {b}")
-        adam_step(model.flat, grads, adam, lr)
-        total += batch_loss
-    return total / len(order)
 
 
 def fit(model: Model, train_images, train_labels, val_images, val_labels,
@@ -223,37 +202,48 @@ def fit(model: Model, train_images, train_labels, val_images, val_labels,
     weights. `on_epoch`, if given, is called with each EpochRecord as it is
     produced.
     """
+    _check_set(train_images, train_labels, "training")
+    _check_set(val_images, val_labels, "validation")
     train_labels = np.asarray(train_labels)
-    val_labels = np.asarray(val_labels)
-    if len(train_images) != len(train_labels):
-        raise ops.DimensionError(
-            f"{len(train_images)} train images vs {len(train_labels)} labels")
-    if len(train_images) == 0:
-        raise ValueError("cannot fit on an empty training set")
     rng = np.random.default_rng(config.seed)
     adam = AdamState.for_params(model.n_params)
     schedule = LrSchedule(learning_rate=config.learning_rate)
     stopper = EarlyStopper()
     history: list[EpochRecord] = []
-    stopped = False
+    n_batches = (len(train_images) + config.batch_size - 1) // config.batch_size
     for epoch in range(config.max_epochs):
         order = rng.permutation(len(train_images))
+        train_total = 0.0
         # overflow need not warn: the finiteness checks catch divergence
         with np.errstate(over="ignore", invalid="ignore"):
-            train_loss = _train_epoch(model, train_images, train_labels, order,
-                                      config, adam, schedule.learning_rate, epoch)
+            for b in range(n_batches):
+                batch = order[b * config.batch_size:(b + 1) * config.batch_size]
+                grads = np.zeros_like(model.flat)
+                batch_loss = 0.0
+                for part, logits, cache in _forward_passes(model, train_images, batch,
+                                                           train_mode=True):
+                    losses, grad_logits = ops.cross_entropy_with_softmax(
+                        logits, train_labels[part])
+                    model_backward(model, cache, grad_logits, input_grad=False,
+                                   grads=grads)
+                    batch_loss = add_in_order(batch_loss, losses)
+                grads /= len(batch)
+                if not np.isfinite(batch_loss) or not np.all(np.isfinite(grads)):
+                    raise DivergenceError(
+                        f"non-finite loss or gradient at epoch {epoch}, batch {b}")
+                adam_step(model.flat, grads, adam, schedule.learning_rate)
+                train_total += batch_loss
         val_loss, val_acc, _ = evaluate(model, val_images, val_labels)
         if not np.isfinite(val_loss):
             raise DivergenceError(f"non-finite validation loss at epoch {epoch}")
         reduced = schedule.update(val_loss)
         should_stop = stopper.update(val_loss, model, epoch)
-        record = EpochRecord(epoch, train_loss, val_loss, val_acc,
+        record = EpochRecord(epoch, train_total / len(order), val_loss, val_acc,
                              schedule.learning_rate, reduced)
         history.append(record)
         if on_epoch is not None:
             on_epoch(record)
         if should_stop:
-            stopped = True
             break
     stopper.restore(model)
-    return FitResult(history, stopper.best_epoch, stopped)
+    return FitResult(history, stopper.best_epoch, should_stop)

@@ -413,6 +413,24 @@ class TestExitCodes:
         assert f"{argv[1]} must be" in capsys.readouterr().err
         assert not out.exists()
 
+    # Path("") is the working directory: an unset variable passed as --out
+    # must not scatter artifacts there.
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--out", ""],
+        ["split", "--manifest", "ghost.tsv", "--out", ""],
+        ["train", "--manifest", "ghost.tsv", "--out", ""],
+        ["split", "--manifest", "ghost.tsv", "--config", "INI"]],
+        ids=["synth", "split", "train", "ini"])
+    def test_empty_out_rejected(self, argv, tmp_path, monkeypatch, capsys):
+        ini = tmp_path / "f.ini"
+        ini.write_text("[run]\nout =\n", encoding="utf-8")
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert run([ini if a == "INI" else a for a in argv]) == cli.EXIT_USAGE
+        assert "must name a directory" in capsys.readouterr().err
+        assert list(cwd.iterdir()) == []
+
     @pytest.mark.parametrize("argv", [
         ["eval", "--manifest", "ghost.tsv", "--weights", "ghost.sonn",
          "--q", "3"],

@@ -3,7 +3,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+PERFBENCH = SCRIPTS.parent / "perfbench"
 
 
 def test_desk_experiment_smoke(tmp_path):
@@ -23,6 +26,22 @@ def load_bench_pair():
     bench_pair = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pair)
     return bench_pair
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("tracing",
+                                                  PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
+# The tracer reports a missing name as absent, not as an error, so a refactor
+# that renames a traced function would blind the per-layer trace silently.
+@pytest.mark.parametrize("module,name", load_tracing().TRACED)
+def test_traced_function_exists(module, name):
+    assert callable(getattr(importlib.import_module(f"selfonn_kit.{module}"),
+                            name, None))
 
 
 def test_bench_pair_src_lines(tmp_path):

@@ -211,7 +211,11 @@ class TestFit:
                   on_epoch=lambda r: snapshots.append(m.flatten()))
         assert np.array_equal(m.flat, snapshots[res.best_epoch])
 
-    def test_stalled_run_stops_early(self):
+    # A budget that ends before the stopper fires is not an early stop; one
+    # whose last epoch is the stopping epoch is.
+    @pytest.mark.parametrize("max_epochs,epochs,stopped", [
+        (5, 5, False), (6, 6, True), (50, 6, True)])
+    def test_stalled_run_stops_early(self, max_epochs, epochs, stopped):
         train_x, train_y = two_band_samples(4, seed=16)
         val_x, val_y = two_band_samples(2, seed=17)
         m = build_model(TINY, 18)
@@ -219,10 +223,9 @@ class TestFit:
         # the validation loss never improves and the stopper fires exactly
         # patience epochs after the first
         res = fit(m, train_x, train_y, val_x, val_y,
-                  TrainConfig(max_epochs=50, batch_size=4, seed=19,
+                  TrainConfig(max_epochs=max_epochs, batch_size=4, seed=19,
                               learning_rate=1e-30))
-        assert res.stopped_early
-        assert len(res.history) == 6
+        assert (len(res.history), res.stopped_early) == (epochs, stopped)
 
     def test_divergence_names_epoch_and_batch(self):
         cfg = ModelConfig(q_order=2, input_shape=(1, 6, 6), block_filters=(2,),
@@ -239,6 +242,22 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(m, [], np.array([], dtype=int), [np.zeros((1, 6, 6))],
                 np.array([0]), TrainConfig())
+
+    @pytest.mark.parametrize("val_x,val_y,error", [
+        ([], np.array([], dtype=int), ValueError),
+        ([np.zeros((1, 12, 14))], np.array([], dtype=int), ops.DimensionError)],
+        ids=["empty", "count"])
+    def test_bad_validation_set_rejected_before_training(self, val_x, val_y, error):
+        cfg = ModelConfig(q_order=1, input_shape=(1, 12, 14), block_filters=(2,),
+                          kernel_sizes=(3,), dense_units=4, classes=3)
+        m = build_model(cfg, 23)
+        before = m.flatten()
+        r = np.random.default_rng(24)
+        train_x = [r.random(cfg.input_shape) for _ in range(8)]
+        with pytest.raises(error):
+            fit(m, train_x, np.arange(8) % 3, val_x, val_y,
+                TrainConfig(max_epochs=3, batch_size=4, seed=25))
+        assert np.array_equal(m.flat, before)
 
 
 def plain_params(model):
@@ -378,6 +397,10 @@ class TestBatchMajorEquivalence:
                   for lo in range(0, 11, 4)]
         assert np.array_equal(preds, np.concatenate(chunks))
         assert acc == float(np.mean(preds == labels))
+        # `eval` on a whole manifest passes the [N, C, H, W] array itself
+        stacked = evaluate(model, np.stack(images), labels)
+        assert stacked[:2] == (loss, acc)
+        assert np.array_equal(stacked[2], preds)
 
 
 THREAD_CONFIG = dict(q_order=3, input_shape=(1, 64, 80), block_filters=(4, 4, 4),
