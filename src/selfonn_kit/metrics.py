@@ -30,6 +30,10 @@ class ConfusionMatrix:
         if c.dtype != np.int64 or (c < 0).any():
             raise ValueError("confusion counts must be non-negative int64")
 
+    def __eq__(self, other):
+        return isinstance(other, ConfusionMatrix) and np.array_equal(
+            self.counts, other.counts)
+
     @property
     def n_classes(self) -> int:
         return self.counts.shape[0]

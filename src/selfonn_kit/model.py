@@ -223,15 +223,13 @@ def _merged_kernels(layer: SelfOnnLayerParams) -> Tensor:
     return layer.kernels.transpose(1, 0, 2, 3, 4).reshape(cout, q * cin, kh, kw)
 
 
-def selfonn_forward(layer: SelfOnnLayerParams, x: Tensor,
-                    stack: Tensor | None = None) -> Tensor:
+def selfonn_forward(layer: SelfOnnLayerParams, stack: Tensor) -> Tensor:
     """Generative-layer forward: sum over q of conv(x**q, kernels[q]) + biases.
 
-    All Q terms run as one convolution over the channel-stacked powers; at
-    Q=1 this is exactly conv2d_valid(x, kernels[0], biases[0]), bit for bit.
+    `stack` is the input's power_stack. All Q terms run as one convolution
+    over the channel-stacked powers; at Q=1 the stack equals x and this is
+    exactly conv2d_valid(x, kernels[0], biases[0]), bit for bit.
     """
-    if stack is None:
-        stack = power_stack(x, layer.q_order)
     return ops.conv2d_valid(stack, _merged_kernels(layer),
                             layer.biases.sum(axis=0))
 
@@ -295,7 +293,7 @@ def model_forward(model: Model, x: Tensor,
     cur = x
     for layer in model.blocks:
         stack = power_stack(cur, layer.q_order)
-        act = selfonn_forward(layer, cur, stack)
+        act = selfonn_forward(layer, stack)
         ops.tanh_forward(act, out=act)
         cur = ops.maxpool2x2(act)
         if train_mode:

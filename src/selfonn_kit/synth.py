@@ -33,13 +33,6 @@ class ClassTemperatureStats:
     mean: float
     std: float
 
-    def __post_init__(self):
-        if not self.t_min < self.mean < self.t_max:
-            raise ValueError(
-                f"mean {self.mean} outside the ({self.t_min}, {self.t_max}) envelope")
-        if self.std <= 0:
-            raise ValueError(f"std must be positive, got {self.std}")
-
 
 DEFAULT_CLASS_STATS: dict[str, ClassTemperatureStats] = {
     "healthy": ClassTemperatureStats(23.00, 82.43, 38.62, 8.86),
@@ -91,7 +84,7 @@ def _gaussian(yy, xx, cy, cx, sy, sx, amp):
 
 def _render_pattern(class_name: str, height: int, width: int,
                     rng: np.random.Generator) -> np.ndarray:
-    """Unitless heat pattern in [0, 1] with jittered class geometry."""
+    """Unitless heat pattern spanning exactly [0, 1], jittered class geometry."""
     yy, xx = np.meshgrid(np.linspace(0.0, 1.0, height),
                          np.linspace(0.0, 1.0, width), indexing="ij")
 
@@ -112,14 +105,12 @@ def _render_pattern(class_name: str, height: int, width: int,
 
     pattern += rng.normal(0.0, 0.04, size=pattern.shape)
     lo, hi = pattern.min(), pattern.max()
-    if hi == lo:
-        return np.zeros_like(pattern)
     return (pattern - lo) / (hi - lo)
 
 
 def _to_temperatures(pattern: np.ndarray,
                      stats: ClassTemperatureStats) -> np.ndarray:
-    """Affine-map a [0, 1] pattern onto the class temperature envelope.
+    """Affine-map a pattern spanning [0, 1] onto the class temperature envelope.
 
     The scale is chosen so the image mean lands exactly on the class mean
     while max and min can never leave [t_min, t_max]; the spread matches
@@ -127,8 +118,6 @@ def _to_temperatures(pattern: np.ndarray,
     """
     mu = float(pattern.mean())
     spread = float(pattern.std())
-    if spread == 0.0 or not 0.0 < mu < 1.0:
-        return np.full_like(pattern, stats.mean)
     scale = min(stats.std / spread,
                 (stats.t_max - stats.mean) / (1.0 - mu),
                 (stats.mean - stats.t_min) / mu)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import logging
 import os
+import pickle
 import re
 import shlex
 import subprocess
@@ -768,6 +769,19 @@ class TestSharedFoldPath:
 
         assert study == {(seed, q): explicit}
         assert printed == [f"{acc:.6f}" for acc in explicit]
+
+
+class TestRoundResult:
+    def test_pickled_result_compares_equal(self, corpus):
+        # a round's (FitResult, MetricReport) survives a process boundary
+        dataset = load_dataset(corpus)
+        split = make_cv_splits(stratified_ordered_kfold(dataset.labels, 3))[0]
+        config = ModelConfig(input_shape=dataset.images[0].shape, q_order=3,
+                             block_filters=(2,), kernel_sizes=(3,),
+                             dense_units=4)
+        result = cli.train_fold(config, dataset, split, 2, epochs=2, batch=4,
+                                lr=1e-3)
+        assert pickle.loads(pickle.dumps(result)) == result
 
 
 class TestRoundReport:

@@ -113,6 +113,13 @@ class TestMetricReport:
         assert report.precision == (1.0, 1.0, 1.0)
         assert report.macro_f1 == 1.0
 
+    def test_reports_compare_by_counts(self):
+        # equal accuracy, different cells: only the counts tell them apart
+        a = m.metric_report(cm([[3, 1], [0, 4]]))
+        assert a == m.metric_report(cm([[3, 1], [0, 4]]))
+        assert a != m.metric_report(cm([[3, 0], [1, 4]]))
+        assert a.matrix != cm([[3, 0], [1, 4]]) and a.matrix != a.matrix.counts
+
 
 class TestBench:
     def tiny_model(self, seed=0):

@@ -155,7 +155,7 @@ class TestGenerativeLayer:
         layer = sm.SelfOnnLayerParams(r.standard_normal((q, 2, 2, 2, 2)),
                                       r.standard_normal((q, 2)))
         x = r.uniform(-1, 1, size=(2, 5, 6))
-        got = sm.selfonn_forward(layer, x)
+        got = sm.selfonn_forward(layer, sm.power_stack(x, q))
         want = sum(ops.conv2d_valid(elementwise_pow(x, qi + 1),
                                     layer.kernels[qi], layer.biases[qi])
                    for qi in range(q))

@@ -36,6 +36,31 @@ def load_tracing():
     return tracing
 
 
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("workloads",
+                                                  PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads   # its dataclasses look the module up
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+# The benchmark's own output checks: Q=1 logits bitwise equal to the plain-CNN
+# reference, small Q=1 and Q=3 nets against the reference loop kernels,
+# byte-exact PGM round trips and loaded pixels in [0, 1). desk_train is left
+# out: its set-up alone takes seconds.
+@pytest.mark.parametrize("name", ["full_infer", "corpus_io"])
+def test_benchmark_checks_pass(name, tmp_path):
+    workloads = load_workloads()
+    workload = workloads.make(name, workloads.load_kit("selfonn_kit"),
+                              SCRIPTS.parent)
+    state = workload.setup(1, tmp_path)
+    tally = workloads.Tally()
+    workload.step(state, tally)
+    workload.finish(state, tally)
+    assert tally.attempted > 0 and tally.failed == 0, tally.failures
+
+
 # The tracer reports a missing name as absent, not as an error, so a refactor
 # that renames a traced function would blind the per-layer trace silently.
 @pytest.mark.parametrize("module,name", load_tracing().TRACED)

@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from selfonn_kit import data as d
 from selfonn_kit import synth as s
@@ -40,14 +41,21 @@ class TestTemperatureScale:
 class TestClassStats:
     def test_all_classes_present(self):
         assert set(s.DEFAULT_CLASS_STATS) == set(d.CLASS_NAMES)
+        for stats in s.DEFAULT_CLASS_STATS.values():
+            assert stats.t_min < stats.mean < stats.t_max and stats.std > 0
 
-    def test_envelope_validation(self):
-        with pytest.raises(ValueError):
-            s.ClassTemperatureStats(t_min=30.0, t_max=20.0, mean=25.0, std=1.0)
-        with pytest.raises(ValueError):
-            s.ClassTemperatureStats(t_min=0.0, t_max=10.0, mean=50.0, std=1.0)
-        with pytest.raises(ValueError):
-            s.ClassTemperatureStats(t_min=0.0, t_max=10.0, mean=5.0, std=-1.0)
+
+class TestRenderPattern:
+    # _to_temperatures divides by the pattern's std, by its mean and by one
+    # minus its mean; this is what keeps all three away from zero.
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(d.CLASS_NAMES), st.integers(8, 40),
+           st.integers(8, 40), st.integers(0, 2 ** 63 - 1))
+    def test_spans_exactly_unit_interval(self, class_name, height, width, seed):
+        pattern = s._render_pattern(class_name, height, width,
+                                    np.random.default_rng(seed))
+        assert pattern.min() == 0.0 and pattern.max() == 1.0
+        assert 0.0 < pattern.mean() < 1.0
 
 
 class TestRenderImage:
