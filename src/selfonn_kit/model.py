@@ -3,8 +3,8 @@
 A generative layer carries Q kernel banks and per-order biases; its output
 is ``sum_q conv2d_valid(input**q, kernels[q], biases[q])``, so order Q=1
 collapses to a plain convolution bit-for-bit. The classifier is a fixed
-stack of such blocks (each followed by tanh and 2x2 max pooling), a hidden
-dense layer with tanh, and a linear output layer.
+stack of such blocks (each followed by 2x2 max pooling, then tanh on the
+pooled map), a hidden dense layer with tanh, and a linear output layer.
 
 Forward and backward passes take one image ``[C, H, W]`` or a batch
 ``[N, C, H, W]`` through the same code. A batch runs each layer once for all
@@ -264,10 +264,10 @@ def selfonn_backward(layer: SelfOnnLayerParams, stack: Tensor, grad_out: Tensor,
     return grad_kernels, grad_biases, grad_input
 
 
-@dataclass
-class BlockCache:
+class BlockCache(NamedTuple):
     stack: Tensor             # channel-stacked input powers fed to the layer
-    activated: Tensor         # tanh output, pre-pool (the pool backward routes from it)
+    pre: Tensor               # layer output before the pool (the pool backward routes from it)
+    activated: Tensor         # tanh of the pooled map, the next block's input
 
 
 @dataclass
@@ -293,11 +293,11 @@ def model_forward(model: Model, x: Tensor,
     cur = x
     for layer in model.blocks:
         stack = power_stack(cur, layer.q_order)
-        act = selfonn_forward(layer, stack)
-        ops.tanh_forward(act, out=act)
-        cur = ops.maxpool2x2(act)
+        pre = selfonn_forward(layer, stack)
+        cur = ops.maxpool2x2(pre)  # tanh is monotonic, so it can follow the pool
+        ops.tanh_forward(cur, out=cur)
         if train_mode:
-            block_caches.append(BlockCache(stack, act))
+            block_caches.append(BlockCache(stack, pre, cur))
     flat_in = cur.reshape(*cur.shape[:-3], -1)
     hidden_act = ops.dense_forward(flat_in, model.hidden.weights, model.hidden.bias)
     ops.tanh_forward(hidden_act, out=hidden_act)
@@ -342,11 +342,10 @@ def model_backward(model: Model, cache: ForwardCache, grad_logits: Tensor,
 
     g = g_flat.reshape(*g_flat.shape[:-1], *feature_map_chain(model.config)[-1])
     for i in range(len(model.blocks) - 1, -1, -1):
-        bc = cache.blocks.pop()
-        # The pool gradient is a temporary: freed before the conv adjoints run.
-        g_pre = ops.tanh_backward(bc.activated, ops.maxpool2x2_backward(g, bc.activated),
-                                  out=bc.activated)
-        gk, gb, g = selfonn_backward(model.blocks[i], bc.stack, g_pre,
+        stack, pre, act = cache.blocks.pop()
+        g_pre = ops.maxpool2x2_backward(ops.tanh_backward(act, g, out=act), pre)
+        del pre  # freed before the conv adjoints run
+        gk, gb, g = selfonn_backward(model.blocks[i], stack, g_pre,
                                      input_grad=input_grad or i > 0)
         add_in_order(gview.blocks[i].kernels, gk)
         add_in_order(gview.blocks[i].biases, gb)

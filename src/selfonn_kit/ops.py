@@ -168,31 +168,31 @@ def _pool_cells(x: Tensor) -> tuple[Tensor, Tensor, Tensor, Tensor]:
     return tuple(x[..., a:2 * h2:2, b:2 * w2:2] for a in (0, 1) for b in (0, 1))
 
 
-def _pool_max(cells) -> Tensor:
-    # np.maximum returns its second argument on ties, so the earlier cell
-    # goes second: a tied window (+0.0 against -0.0) keeps its first cell's
-    # value, as the loop oracle does.
-    c0, c1, c2, c3 = cells
-    return np.maximum(np.maximum(c3, c2), np.maximum(c1, c0))
-
-
 def maxpool2x2(x: Tensor) -> Tensor:
-    """Disjoint 2x2 stride-2 max pool of a [..., C, H, W] map; odd edges are dropped."""
-    return _pool_max(_pool_cells(x))
+    """Disjoint 2x2 stride-2 max pool of a [..., C, H, W] map; odd edges are dropped.
+
+    Two np.maximum passes, column pairs then row pairs, give
+    max(max(c3, c2), max(c1, c0)) over the row-major cells. np.maximum returns
+    its second argument on ties, so a tied window (+0.0 against -0.0) keeps
+    its first cell's value, as the loop oracle does.
+    """
+    h2, w2 = x.shape[-2] // 2, x.shape[-1] // 2
+    cols = np.maximum(x[..., :2 * h2, 1:2 * w2:2], x[..., :2 * h2, 0:2 * w2:2])
+    return np.maximum(cols[..., 1::2, :], cols[..., 0::2, :])
 
 
 def maxpool2x2_backward(grad_out: Tensor, x: Tensor) -> Tensor:
     """Route the pooled gradient back through maxpool2x2 of the map `x`.
 
-    Within each window the first cell in row-major order that equals the
-    window max receives the gradient, so ties route deterministically; every
-    other cell, and any dropped odd edge, gets +0.0.
+    `x` is a block's pre-activation (blocks pool before tanh). In each
+    window the first cell in row-major order equal to maxpool2x2(x)
+    receives the gradient, so ties route deterministically; every other
+    cell, and any dropped odd edge, gets +0.0.
     """
-    cells = _pool_cells(x)
-    pooled = _pool_max(cells)
+    pooled = maxpool2x2(x)
     grad = np.zeros_like(x)
     open_windows = np.ones(pooled.shape, dtype=bool)
-    for cell, grad_cell in zip(cells, _pool_cells(grad)):
+    for cell, grad_cell in zip(_pool_cells(x), _pool_cells(grad)):
         hit = cell == pooled
         hit &= open_windows
         np.copyto(grad_cell, grad_out, where=hit)

@@ -188,15 +188,74 @@ class TestFullModel:
             x = np.random.default_rng(0).random(other.input_shape)
             _, cache = sm.model_forward(sm.build_model(other, 4), x,
                                         train_mode=True)
-            kept = [bc.activated.copy() for bc in cache.blocks]
-            hidden = cache.hidden_activated.copy()
+            kept = [a.copy() for bc in cache.blocks for a in bc]
+            kept += [cache.flat_input.copy(), cache.hidden_activated.copy()]
         m = sm.build_model(REDUCED, 3)
         with pytest.raises(sm.ConsistencyError, match="does not match this model"):
             sm.model_backward(m, cache, np.zeros(3))
         if cache is not None:
-            assert np.array_equal(cache.hidden_activated, hidden)
-            assert all(np.array_equal(bc.activated, a)
-                       for bc, a in zip(cache.blocks, kept, strict=True))
+            now = [a for bc in cache.blocks for a in bc]
+            now += [cache.flat_input, cache.hidden_activated]
+            assert len(now) == len(kept) == 3 * 3 + 2
+            assert all(np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+                       for a, b in zip(now, kept))
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["image", "batch"])
+    @pytest.mark.parametrize("kind", ["random", "ties", "saturated"])
+    def test_forward_matches_tanh_then_pool(self, q, lead, kind):
+        # Odd maps: the pre-activations are 15x17, 6x7 and 2x2.
+        cfg = dataclasses.replace(reduced(q), input_shape=(1, 17, 19))
+        m = sm.build_model(cfg, 20 + q)
+        r = np.random.default_rng(q)
+        x = r.uniform(-1, 1, size=(*lead, *cfg.input_shape))
+        if kind == "ties":  # integer weights and inputs: many exact ties
+            m.flat[:] = np.round(m.flat * 4)
+            x = np.round(x * 2)
+        elif kind == "saturated":  # block pre-activations reach |a| > 20
+            m.flat[:] *= 60
+        logits, cache = sm.model_forward(m, x, train_mode=True)
+        cur = x
+        for layer, bc in zip(m.blocks, cache.blocks, strict=True):
+            stack = sm.power_stack(cur, q)
+            pre = sm.selfonn_forward(layer, stack)
+            cur = ops.maxpool2x2(np.tanh(pre))  # the tanh-then-pool order
+            for got, want in zip(bc, (stack, pre, cur)):
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+        if kind == "saturated":
+            assert np.mean(np.abs(cache.blocks[0].activated) == 1.0) > 0.5
+        flat = cur.reshape(*lead, -1)
+        hidden = np.tanh(ops.dense_forward(flat, m.hidden.weights, m.hidden.bias))
+        want = ops.dense_forward(hidden, m.output.weights, m.output.bias)
+        assert np.array_equal(logits, want)
+        assert np.array_equal(sm.model_forward(m, x)[0], logits)
+
+    def test_tanh_tie_routes_to_larger_pre_activation(self):
+        # One block with a 1x1 unit kernel: the pre-activation is the input.
+        # Its window holds 0.9 and the next float up, whose tanh values tie;
+        # tanh-then-pool would send the gradient to the first cell.
+        cfg = sm.ModelConfig(input_shape=(1, 2, 2), block_filters=(1,),
+                             kernel_sizes=(1,), dense_units=2)
+        m = sm.build_model(cfg, 0)
+        m.blocks[0].kernels[...] = 1.0
+        lo = 0.9
+        hi = np.nextafter(lo, 1.0)
+        x = np.array([[[lo, hi], [-0.5, 0.25]]])
+        assert np.tanh(lo) == np.tanh(hi)
+        logits, cache = sm.model_forward(m, x, train_mode=True)
+        t = cache.blocks[0].activated.copy()
+        hidden = cache.hidden_activated.copy()
+        _, g_logits = ops.cross_entropy_with_softmax(logits, 1)
+        _, grad_in = sm.model_backward(m, cache, g_logits)
+        g_hidden = ops.dense_backward(hidden, m.output.weights, g_logits)[0]
+        g_pooled = ops.dense_backward(t.reshape(-1), m.hidden.weights,
+                                      ops.tanh_backward(hidden, g_hidden))[0]
+        want = np.zeros_like(x)
+        want[0, 0, 1] = g_pooled[0] * (1.0 - t[0, 0, 0] * t[0, 0, 0])
+        assert want[0, 0, 1] != 0.0
+        assert np.array_equal(grad_in, want)
+        assert np.array_equal(np.signbit(grad_in), np.signbit(want))
 
     def test_backward_consumes_the_cache(self):
         m = sm.build_model(REDUCED, 3)

@@ -217,6 +217,41 @@ class TestMaxPool:
             assert_same_bits(back[:, a::2, b::2], np.zeros((2, 2, 2)))
 
 
+class TestPoolBeforeTanh:
+    """A block pools its pre-activation and then applies tanh, which is
+    bitwise the tanh-then-pool order wherever np.tanh is monotone."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([(), (1,), (3,)]), st.integers(1, 3), st.integers(2, 9),
+           st.integers(2, 9), st.sampled_from(["random", "ties", "saturated"]),
+           st.integers(0, 2 ** 31 - 1))
+    def test_forward_matches_tanh_then_pool(self, lead, c, h, w, kind, seed):
+        r = rng(seed)
+        a = r.standard_normal((*lead, c, h, w))
+        if kind == "ties":
+            a = np.round(a)  # exact ties, including +0.0 against -0.0
+        elif kind == "saturated":  # |a| > 20: every tanh is +-1.0
+            a = np.sign(a) * r.uniform(20.0, 40.0, a.shape)
+        pooled = ops.maxpool2x2(a)
+        got = ops.tanh_forward(pooled, out=pooled)
+        assert_same_bits(got, ops.maxpool2x2(ops.tanh_forward(a)))
+        for ai, gi in zip(a.reshape(-1, c, h, w), got.reshape(-1, c, h // 2, w // 2)):
+            assert_same_bits(gi, maxpool2x2_loops(np.tanh(ai))[0])
+
+    def test_one_ulp_tanh_inversion(self):
+        # np.tanh is not monotone on this neighbour pair: tanh(x) > tanh(y)
+        # although x < y. Pooling first gives the tanh of the true max, one
+        # ulp below tanh-then-pool.
+        x = -0.12472553287111468
+        y = np.nextafter(x, np.inf)
+        a = np.array([[[x, y], [x, x]]])
+        t = np.tanh(a)
+        assert t[0, 0, 0] > t[0, 0, 1]
+        got = ops.tanh_forward(ops.maxpool2x2(a))
+        assert_same_bits(got, np.tanh(np.array([[[y]]])))
+        assert got[0, 0, 0] == np.nextafter(ops.maxpool2x2(t)[0, 0, 0], -np.inf)
+
+
 class TestDense:
     def test_forward_is_affine(self):
         r = rng(11)
