@@ -10,7 +10,8 @@ run per tree and workload. It writes, at the repository root:
 - the provenance line of the first run, and which commits were measured,
   with each tree's count of `src/**/*.py` lines;
 - for each workload and end-to-end metric of HEAD's BENCHMARK.json, both
-  trees' median and quartiles, HEAD's pair wins and the median ratio;
+  trees' median and quartiles, HEAD's pair wins, the median ratio and a
+  verdict (see `verdict`);
 - each tree's failed and attempted operations, and from the traced runs
   the per-layer self seconds and `trace.absent_functions`.
 
@@ -27,7 +28,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("desk_train", "full_infer", "corpus_io")
-SEEDS = (1, 2, 3)
+SEEDS = tuple(range(1, 11))
 SECONDS = 10
 
 
@@ -73,6 +74,30 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
+def verdict(head: list[float], rev: list[float], wins: int, bound: float,
+            sign: int) -> str:
+    """HEAD (the change) against REV (the parent) on one metric.
+
+    `sign` is 1 when higher is better, else -1; `bound` is the benchmark's
+    relative bound. "unresolved" when REV's quartile spread is wider than
+    the bound and not every HEAD run beats every REV run; else "worse" when
+    HEAD's median is worse than REV's by more than the bound; else "gain"
+    when HEAD wins at least nine tenths of the pairs and the medians differ
+    by more than REV's quartile spread; else "unchanged".
+    """
+    parent = spread(rev)
+    iqr = parent["q3"] - parent["q1"]
+    scale = abs(parent["median"])
+    change = sign * (statistics.median(head) - parent["median"])
+    if iqr > bound * scale and min(sign * h for h in head) <= max(sign * r for r in rev):
+        return "unresolved"
+    if change < -bound * scale:
+        return "worse"
+    if wins >= 0.9 * len(head) and change > iqr:
+        return "gain"
+    return "unchanged"
+
+
 def summarize(runs: dict, traced: dict, end_to_end: list[dict]) -> dict:
     """Per workload: both trees' spreads, HEAD's pair wins, and the traces.
 
@@ -88,12 +113,13 @@ def summarize(runs: dict, traced: dict, end_to_end: list[dict]) -> dict:
             head, rev = ([r["metrics"][m["name"]]["value"]
                           for r in runs[tree][workload]] for tree in ("head", "rev"))
             sign = 1 if m["better"] == "higher" else -1
+            wins = sum(sign * (h - r) > 0 for h, r in zip(head, rev))
             metrics[m["name"]] = {
                 "better": m["better"], "bound": m["bound"],
                 "head": spread(head), "rev": spread(rev),
-                "head_wins": sum(sign * (h - r) > 0 for h, r in zip(head, rev)),
-                "pairs": len(head),
-                "median_ratio": statistics.median(head) / statistics.median(rev)}
+                "head_wins": wins, "pairs": len(head),
+                "median_ratio": statistics.median(head) / statistics.median(rev),
+                "verdict": verdict(head, rev, wins, m["bound"], sign)}
         out[workload] = {"end_to_end": metrics}
         for tree in ("head", "rev"):
             trace = traced[tree][workload]["metrics"]

@@ -340,7 +340,7 @@ def model_backward(model: Model, cache: ForwardCache, grad_logits: Tensor,
     add_in_order(gview.hidden.weights, gw)
     add_in_order(gview.hidden.bias, gb)
 
-    g = g_flat.reshape(*g_flat.shape[:-1], *feature_map_chain(model.config)[-1])
+    g = g_flat.reshape(cache.blocks[-1].activated.shape)
     for i in range(len(model.blocks) - 1, -1, -1):
         stack, pre, act = cache.blocks.pop()
         g_pre = ops.maxpool2x2_backward(ops.tanh_backward(act, g, out=act), pre)
@@ -396,8 +396,6 @@ def load_weights(path) -> Model:
         raise WeightFileError(f"bad magic {magic!r}, expected {_MAGIC!r}")
     if version != _VERSION:
         raise WeightFileError(f"unsupported format version {version}")
-    if b < 1:
-        raise WeightFileError("header declares zero blocks")
     header = _header(b)
     if len(raw) < header.size:
         raise WeightFileError(

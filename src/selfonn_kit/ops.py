@@ -5,10 +5,10 @@ layout: any leading dimensions (typically one batch axis ``N``) are carried
 through, so a single image ``[C, H, W]`` and a batch ``[N, C, H, W]`` run
 through the same code. Kernel banks are ``[Cout, Cin, Kh, Kw]``.
 Convolution is the unpadded cross-correlation (no kernel flip); its two
-adjoints, 2x2 max pooling (whose backward pass re-derives the max positions
-from the pre-pool map), the dense affine map, tanh and softmax
-cross-entropy are all pure functions with hand-derived backward passes. No
-autograd graph.
+adjoints, 2x2 max pooling (whose backward pass sends each window's gradient
+to the cell the forward's two passes pick, the first row-major cell equal
+to the max), the dense affine map, tanh and softmax cross-entropy are all
+pure functions with hand-derived backward passes. No autograd graph.
 
 Convolutions and their adjoints run as GEMMs over im2col patch matrices
 built one band of output rows at a time for all samples at once, so they
@@ -184,19 +184,21 @@ def maxpool2x2(x: Tensor) -> Tensor:
 def maxpool2x2_backward(grad_out: Tensor, x: Tensor) -> Tensor:
     """Route the pooled gradient back through maxpool2x2 of the map `x`.
 
-    `x` is a block's pre-activation (blocks pool before tanh). In each
-    window the first cell in row-major order equal to maxpool2x2(x)
-    receives the gradient, so ties route deterministically; every other
-    cell, and any dropped odd edge, gets +0.0.
+    `x` is a block's pre-activation (blocks pool before tanh). Each window's
+    gradient goes to the cell the forward's two passes pick: the top row
+    unless the bottom row's max is larger, then the left cell of that row
+    unless the right one is larger. That is the first cell in row-major
+    order equal to the window max, so ties route deterministically; every
+    other cell, and any dropped odd edge, gets +0.0.
     """
-    pooled = maxpool2x2(x)
+    c0, c1, c2, c3 = _pool_cells(x)
+    top = np.maximum(c1, c0) >= np.maximum(c3, c2)
+    left_top, left_bottom = c0 >= c1, c2 >= c3
+    picks = (top & left_top, top > left_top, left_bottom > top,
+             ~(top | left_bottom))
     grad = np.zeros_like(x)
-    open_windows = np.ones(pooled.shape, dtype=bool)
-    for cell, grad_cell in zip(_pool_cells(x), _pool_cells(grad)):
-        hit = cell == pooled
-        hit &= open_windows
-        np.copyto(grad_cell, grad_out, where=hit)
-        open_windows &= ~hit
+    for grad_cell, pick in zip(_pool_cells(grad), picks):
+        np.copyto(grad_cell, grad_out, where=pick)
     return grad
 
 

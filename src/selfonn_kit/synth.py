@@ -85,8 +85,8 @@ def _gaussian(yy, xx, cy, cx, sy, sx, amp):
 def _render_pattern(class_name: str, height: int, width: int,
                     rng: np.random.Generator) -> np.ndarray:
     """Unitless heat pattern spanning exactly [0, 1], jittered class geometry."""
-    yy, xx = np.meshgrid(np.linspace(0.0, 1.0, height),
-                         np.linspace(0.0, 1.0, width), indexing="ij")
+    yy = np.linspace(0.0, 1.0, height)[:, None]  # a column; with the row xx, the grid
+    xx = np.linspace(0.0, 1.0, width)
 
     def jit(v, span=0.04):
         return v + rng.uniform(-span, span)

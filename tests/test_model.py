@@ -257,6 +257,19 @@ class TestFullModel:
         assert np.array_equal(grad_in, want)
         assert np.array_equal(np.signbit(grad_in), np.signbit(want))
 
+    def test_backward_does_not_pool_again(self, monkeypatch):
+        # The pool backward routes from the forward's picks alone; it does not
+        # pool the cached pre-activation a second time.
+        m = sm.build_model(REDUCED, 3)
+        x = np.random.default_rng(0).random((2, *REDUCED.input_shape))
+        logits, cache = sm.model_forward(m, x, train_mode=True)
+        _, g = ops.cross_entropy_with_softmax(logits, np.array([0, 2]))
+        calls = []
+        pool = ops.maxpool2x2
+        monkeypatch.setattr(ops, "maxpool2x2", lambda a: calls.append(a) or pool(a))
+        sm.model_backward(m, cache, g, input_grad=False)
+        assert calls == []
+
     def test_backward_consumes_the_cache(self):
         m = sm.build_model(REDUCED, 3)
         x = np.random.default_rng(0).random(REDUCED.input_shape)
@@ -371,7 +384,7 @@ class TestWeightFiles:
 
     # u16 header fields set to zero: the block count, then q_order
     @pytest.mark.parametrize("offset,message", [
-        (14, "header declares zero blocks"),
+        (14, "stored configuration is invalid: need at least one block"),
         (6, "stored configuration is invalid: q_order must be >= 1, got 0")],
         ids=["blocks", "q_order"])
     def test_zero_header_field_rejected(self, offset, message):

@@ -177,12 +177,16 @@ def assert_same_bits(got, want):
 class TestMaxPool:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 4), st.integers(2, 9), st.integers(2, 9),
-           st.integers(0, 2 ** 31 - 1), st.booleans())
-    def test_matches_loop_oracle(self, c, h, w, seed, quantize):
+           st.integers(0, 2 ** 31 - 1), st.sampled_from(["random", "ties", "inf"]))
+    def test_matches_loop_oracle(self, c, h, w, seed, kind):
         r = rng(seed)
         x = r.standard_normal((c, h, w))
-        if quantize:
+        if kind == "ties":
             x = np.round(x)  # plenty of ties, including +0.0 against -0.0
+        elif kind == "inf":  # +-inf cells, tied +inf among them
+            x = np.where(r.random(x.shape) < 0.4, np.copysign(np.inf, x), np.round(x))
+            last = x[:, 1::2, 1::2]  # each window's last cell
+            last[last == -np.inf] = 0.0  # the loop oracle loses all -inf windows
         want_pooled, _ = maxpool2x2_loops(x)
         assert_same_bits(ops.maxpool2x2(x), want_pooled)
         g = r.standard_normal(want_pooled.shape)

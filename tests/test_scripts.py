@@ -112,9 +112,28 @@ def test_bench_pair_summary():
     assert rate["rev"]["q3"] == 10.0
     assert rate["head_wins"] == 2 and rate["pairs"] == 3
     assert rate["median_ratio"] == 10.0 / 9.0 and rate["bound"] == 0.15
+    assert rate["verdict"] == "unchanged"  # spread 1 <= 0.15 * 9, 2 wins of 3
     ms = out["desk_train"]["end_to_end"]["a_ms_p50"]
     assert ms["head_wins"] == 2 and ms["head"]["median"] == 4.0
+    assert ms["verdict"] == "unresolved"  # spread 1 > 0.15 * 5, run 6.0 loses
     assert out["corpus_io"]["head"] == {"failed": 1, "attempted": 300,
                                         "absent_functions": 0,
                                         "self_s": {"ops.tanh_forward": 0.5}}
     assert out["corpus_io"]["rev"]["self_s"] == {"ops.tanh_forward": 0.25}
+
+    # Ten pairs; a bound of 0.15 allows 15 around a parent median of 100.
+    steady = [100.0, 101.0, 99.0, 100.0, 102.0, 98.0, 100.0, 101.0, 99.0, 100.0]
+    wide = [70.0, 130.0] * 5  # quartile spread 60
+    cases = [
+        ([v + 5 for v in steady[:9]] + [90.0], steady, 1, "gain"),  # 9 wins
+        ([v + 5 for v in steady[:8]] + [90.0] * 2, steady, 1, "unchanged"),
+        ([v + 0.5 for v in steady], steady, 1, "unchanged"),  # 10 wins, < spread
+        ([120.0] * 10, steady, -1, "worse"),  # lower is better
+        ([100.0] * 10, wide, 1, "unresolved"),
+        ([50.0] * 10, wide, 1, "unresolved"),  # worse, but inside the spread
+        ([131.0] * 10, wide, 1, "unchanged"),  # beats every parent run, by < 60
+        ([200.0] * 10, wide, 1, "gain"),
+    ]
+    for head, rev, sign, want in cases:
+        wins = sum(sign * (h - r) > 0 for h, r in zip(head, rev))
+        assert bench_pair.verdict(head, rev, wins, 0.15, sign) == want, (head, rev)
