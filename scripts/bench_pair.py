@@ -13,23 +13,36 @@ run per tree and workload. It writes, at the repository root:
   trees' median and quartiles, HEAD's pair wins, the median ratio and a
   verdict (see `verdict`);
 - each tree's failed and attempted operations, and from the traced runs
-  the per-layer self seconds and `trace.absent_functions`.
+  the per-layer self seconds and `trace.absent_functions`;
+- a desk `crossval`: REV's tree synthesizes criterion 6's corpus once
+  (SYNTH), then each tree runs CROSSVAL on it CROSSVAL_RUNS times,
+  alternating which tree goes first, each run into a fresh `--out` and
+  timed by wall clock. The entry holds both commands, each tree's spread
+  of seconds, the OPENBLAS_NUM_THREADS in force, and whether the first
+  HEAD run and the first REV run wrote the same files and stdout, byte
+  for byte.
 
 Usage (from anywhere in the repository):
     python3 scripts/bench_pair.py HEAD~1 candidate
 """
 
 import json
+import os
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("desk_train", "full_infer", "corpus_io")
 SEEDS = tuple(range(1, 11))
 SECONDS = 10
+SYNTH = "synth --per-class 300 --height 128 --width 160 --seed 11"
+CROSSVAL = ("crossval --half --q 2 --filters 4,4,4 --kernels 5,3,2 "
+            "--dense 16 --epochs 3")
+CROSSVAL_RUNS = 3
 
 
 def git(*args: str) -> str:
@@ -67,6 +80,49 @@ def perfbench(tree: Path, workload: str, seed: int, trace: int) -> dict:
     provenance = next(json.loads(line.split(" ", 1)[1]) for line in lines
                       if line.startswith("provenance "))
     return {"provenance": provenance, **json.loads(lines[-1])}
+
+
+def selfonn(tree: Path, command: str, *args: str) -> tuple[float, str]:
+    """Run the tree's own `selfonn-kit`; its wall seconds and its stdout."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "selfonn_kit",
+                           *command.split(), *args],
+                          cwd=tree, env=env, capture_output=True, text=True)
+    seconds = time.perf_counter() - start
+    if proc.returncode:
+        sys.exit(f"{tree} {command}: exit {proc.returncode}\n{proc.stderr}")
+    return seconds, proc.stdout
+
+
+def same_bytes(a: Path, b: Path) -> bool:
+    """Whether two directories hold the same files, byte for byte."""
+    names = [sorted(p.relative_to(d) for p in d.rglob("*") if p.is_file())
+             for d in (a, b)]
+    return names[0] == names[1] and all(
+        (a / n).read_bytes() == (b / n).read_bytes() for n in names[0])
+
+
+def time_crossval(trees: dict, tmp: Path) -> dict:
+    """Wall seconds of CROSSVAL per tree on one corpus SYNTH wrote."""
+    corpus = tmp / "corpus"
+    selfonn(trees["rev"], SYNTH, "--out", str(corpus))
+    seconds = {tree: [] for tree in trees}
+    stdout = {}
+    for turn in range(CROSSVAL_RUNS):
+        for tree in ("head", "rev")[::-1 if turn % 2 else 1]:
+            out = tmp / f"cv_{tree}{turn}"
+            took, stdout[tree, turn] = selfonn(
+                trees[tree], CROSSVAL, "--manifest",
+                str(corpus / "manifest.tsv"), "--out", str(out))
+            seconds[tree].append(took)
+    return {"synth": SYNTH, "command": CROSSVAL,
+            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS",
+                                                   "unset"),
+            **{tree: spread(seconds[tree]) for tree in trees},
+            "artifacts_identical": (
+                same_bytes(tmp / "cv_head0", tmp / "cv_rev0")
+                and stdout["head", 0] == stdout["rev", 0])}
 
 
 def spread(values: list[float]) -> dict:
@@ -149,12 +205,15 @@ def main(argv: list[str]) -> int:
                     perfbench(trees[tree], workload, seed, trace=0))
         traced = {tree: {w: perfbench(trees[tree], w, SEEDS[0], trace=1)
                          for w in WORKLOADS} for tree in trees}
+        print("crossval", flush=True)
+        crossval = time_crossval(trees, Path(tmp))
     provenance = runs["head"][WORKLOADS[0]][0]["provenance"]
     doc = {"command": f"scripts/bench_pair.py {rev} {tag}",
            "provenance": {k: v for k, v in provenance.items()
                           if k not in ("workload", "seed", "trace", "commit")},
            "trees": ids, "seeds": list(SEEDS), "seconds": SECONDS,
-           "workloads": summarize(runs, traced, end_to_end)}
+           "workloads": summarize(runs, traced, end_to_end),
+           "crossval": crossval}
     path = ROOT / f"BENCH_{tag}.json"
     path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {path}")

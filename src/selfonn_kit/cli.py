@@ -6,15 +6,15 @@ Grammar:
 
 Settings resolve with precedence flag > config file > built-in default.
 The config file is INI-style `key = value` under [run], [model], [train],
-[synth], [eval] and [bench] sections; it may set any entry, and every value
-is checked whichever command runs. SETTINGS describes every setting once:
+[synth] and [eval] sections; it may set any entry, and every value is
+checked whichever command runs. SETTINGS describes every setting once:
 its field, default, INI entry, flag, readers, parser, check and help.
 
 Randomness: one root seed (--seed) fans out to independent streams via
 SeedSequence([root, stream, ...context]), with stream tags INIT=0 for
 weight initialization, BATCH=1 for shuffling, SYNTH=2 for image
-generation, BENCH=3 for benchmark inputs. Repeated runs with the same
-seed and inputs write byte-identical artifacts.
+generation, BENCH=3 for benchmark inputs (always from root 0). Repeated
+runs with the same seed and inputs write byte-identical artifacts.
 
 Set SELFONN_LOG=debug|info|warning|quiet to control progress chatter on
 stderr; reports always go to stdout and the output directory.
@@ -200,7 +200,7 @@ SETTINGS = (
             ("split", *LOADS), str, None, "dataset manifest"),
     Setting("out", "runs", "run", "out", "--out", ("synth", "split", *FIT),
             str, lambda v: not v and "name a directory", "artifact directory"),
-    Setting("seed", 0, "run", "seed", "--seed", ("synth", *FIT, "bench"),
+    Setting("seed", 0, "run", "seed", "--seed", ("synth", *FIT),
             int, _least(0), "root random seed"),
     Setting("k", 5, "run", "k", "--k", ("split", *LOADS), int, _least(2),
             "number of folds"),
@@ -211,7 +211,7 @@ SETTINGS = (
             "min/max scope for pixel scaling: image or dataset"),
     Setting("half_resolution", False, "run", "half_resolution", "--half",
             LOADS, _parse_bool, None, "halve image resolution when loading"),
-    Setting("q_order", ModelConfig.q_order, "model", "q", "--q", (*FIT, "bench"),
+    Setting("q_order", ModelConfig.q_order, "model", "q", "--q", FIT,
             int, lambda v: not 1 <= v <= 10 and "be in 1..10",
             "polynomial order Q, 1..10"),
     Setting("filters", ModelConfig.block_filters, "model", "filters", "--filters",
@@ -239,12 +239,6 @@ SETTINGS = (
             ("synth",), int, _least(8), "generated image columns"),
     Setting("weights", None, "eval", "weights", "--weights", ("eval",), str,
             None, "weight file to load"),
-    Setting("bench_images", 3, "bench", "images", "--bench-images",
-            ("bench",), int, _least(1), "random images per timing pass"),
-    Setting("bench_warmup", 1, "bench", "warmup", "--warmup", ("bench",),
-            int, _least(0), "untimed warmup passes"),
-    Setting("bench_repeats", 3, "bench", "repeats", "--runs", ("bench",),
-            int, _least(1), "timed passes"),
 )
 
 
@@ -265,9 +259,7 @@ def _validate(cfg, command: str) -> None:
 
 RunConfig = make_dataclass(
     "RunConfig",
-    [(s.field, object, field(default=s.default)) for s in SETTINGS]
-    # the fields a config file or a flag set, as opposed to defaults
-    + [("given", frozenset, field(default=frozenset()))],
+    [(s.field, object, field(default=s.default)) for s in SETTINGS],
     namespace={"__doc__": "Fully resolved settings for one command "
                           "invocation, one field per SETTINGS row.",
                "validate": _validate})
@@ -315,7 +307,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         text = getattr(args, s.field, None)
         if text is not None:
             values[s.field] = _convert(s, text, s.flag)
-    cfg = RunConfig(**values, given=frozenset(values))
+    cfg = RunConfig(**values)
     cfg.validate(args.command)
     return cfg
 
@@ -527,21 +519,18 @@ def cmd_params(cfg: RunConfig) -> int:
 
 
 def cmd_bench(cfg: RunConfig) -> int:
-    """time inference across polynomial orders"""
+    """time inference for Q=1..5 on two random images, criterion 10's protocol"""
     shape = (1, cfg.input_height, cfg.input_width)
-    qs = [cfg.q_order] if "q_order" in cfg.given else [1, 2, 3, 4, 5]
     models = [build_model(_model_config(cfg, shape, q_order=q),
-                          derive_seed(cfg.seed, STREAM_INIT, q, 0))
-              for q in qs]
-    rng = np.random.default_rng(derive_seed(cfg.seed, STREAM_BENCH))
-    images = [rng.random(shape) for _ in range(cfg.bench_images)]
-    print(f"{cfg.bench_images} images per pass, {cfg.bench_warmup} warmup, "
-          f"{cfg.bench_repeats} timed passes")
+                          derive_seed(0, STREAM_INIT, q, 0))
+              for q in range(1, 6)]
+    rng = np.random.default_rng(derive_seed(0, STREAM_BENCH))
+    images = [rng.random(shape) for _ in range(2)]
+    per_image_ms = 1e3 * bench_inference(models, images)
+    print(f"{len(images)} images per pass, 1 warmup, "
+          f"{per_image_ms.shape[1]} timed passes")
     print("q  mean_ms  std_ms  min_ms  max_ms")
-    per_image_ms = 1e3 * bench_inference(models, images,
-                                         warmup=cfg.bench_warmup,
-                                         repeats=cfg.bench_repeats)
-    for q, ms in zip(qs, per_image_ms):
+    for q, ms in enumerate(per_image_ms, 1):
         print(f"{q}  {ms.mean():.3f}  {ms.std():.3f}  {ms.min():.3f}  "
               f"{ms.max():.3f}")
     return EXIT_OK

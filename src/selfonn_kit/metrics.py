@@ -118,14 +118,14 @@ def metric_report(matrix: ConfusionMatrix) -> MetricReport:
 
 
 def bench_inference(models: list[Model], images, warmup: int = 1,
-                    repeats: int = 3) -> np.ndarray:
+                    repeats: int = 24) -> np.ndarray:
     """Per-image forward seconds of each model, timed round-robin.
 
     Each model first runs `warmup` untimed passes over `images`. Then each
     of `repeats` rounds times one pass of every model in turn, so a slow
     system phase slows every model alike instead of whichever happened to
     be running. Returns a (models, repeats) array: seconds per image of each
-    timed pass.
+    timed pass. The defaults are `selfonn-kit bench`'s protocol.
     """
     if len(models) == 0 or len(images) == 0:
         raise ValueError("nothing to benchmark")

@@ -68,7 +68,8 @@ def maxpool2x2_loops(x):
         for i in range(h2):
             for j in range(w2):
                 best = -np.inf
-                best_flat = -1
+                # a window with no cell above -inf routes to its first cell
+                best_flat = ci * h * w + 2 * i * w + 2 * j
                 for a in range(2):
                     for b in range(2):
                         v = x[ci, 2 * i + a, 2 * j + b]

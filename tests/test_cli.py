@@ -35,7 +35,7 @@ def corpus(tmp_path_factory):
 
 
 # Every subcommand's flags besides --help and --config: exactly the
-# settings the command reads, 56 command-flag pairs in all.
+# settings the command reads, 51 command-flag pairs in all.
 CROSSVAL_FLAGS = ["--manifest", "--out", "--seed", "--k", "--normalization",
                   "--half", "--q", "--filters", "--kernels", "--dense",
                   "--epochs", "--batch", "--lr"]
@@ -46,10 +46,8 @@ HELP_FLAGS = {"synth": ["--out", "--seed", "--per-class", "--height",
               "eval": ["--manifest", "--k", "--folds", "--normalization",
                        "--half", "--weights"],
               "params": ["--filters", "--kernels", "--dense",
-                         "--input-height", "--input-width"],
-              "bench": ["--seed", "--q", "--filters", "--kernels", "--dense",
-                        "--input-height", "--input-width", "--bench-images",
-                        "--warmup", "--runs"]}
+                         "--input-height", "--input-width"]}
+HELP_FLAGS["bench"] = HELP_FLAGS["params"]
 
 
 def run(argv):
@@ -101,8 +99,7 @@ class TestConfigResolution:
             "input_height = 64\ninput_width = 80\n"
             "[train]\nepochs = 11\nbatch = 8\nlr = 0.01\n"
             "[synth]\nper_class = 5\nheight = 32\nwidth = 40\n"
-            "[eval]\nweights = w.sonn\n"
-            "[bench]\nimages = 2\nwarmup = 0\nrepeats = 2\n")
+            "[eval]\nweights = w.sonn\n")
         cfg = cli.build_run_config(self.parse(["train", "--config", str(ini)]))
         assert cfg.manifest == "m.tsv"
         assert cfg.k == 4
@@ -113,7 +110,6 @@ class TestConfigResolution:
         assert cfg.kernels == (3, 2)
         assert cfg.input_height == 64
         assert cfg.weights == "w.sonn"
-        assert cfg.bench_repeats == 2
 
     def test_inline_comments(self, tmp_path):
         ini = tmp_path / "run.ini"
@@ -200,6 +196,17 @@ class TestConfigResolution:
                             flags=re.MULTILINE)
         assert sorted(listed) == sorted(["--help", "--config",
                                          *HELP_FLAGS[command]])
+
+    def test_bench_and_params_list_the_same_flags(self, capsys):
+        listed = []
+        for command in ("bench", "params"):
+            with pytest.raises(SystemExit):
+                cli.main([command, "--help"])
+            listed.append(sorted(re.findall(r"^  (--[a-z-]+)",
+                                            capsys.readouterr().out,
+                                            flags=re.MULTILINE)))
+        assert listed[0] == listed[1]
+        assert "--input-height" in listed[0]
 
     def test_readme_command_lines_parse(self):
         readme = (Path(__file__).parent.parent / "README.md").read_text()
@@ -395,10 +402,9 @@ class TestExitCodes:
         ["train", "--lr", "-1"], ["train", "--lr", "nan"],
         ["train", "--lr", "0"], ["train", "--lr", "inf"], ["train", "--q", "11"],
         ["synth", "--per-class", "0"], ["synth", "--seed", "-1"],
-        ["synth", "--height", "4"], ["bench", "--runs", "0"],
-        ["bench", "--bench-images", "0"], ["bench", "--warmup", "-1"],
-        ["train", "--dense", "0"], ["train", "--filters", "4,0,4"],
-        ["train", "--kernels", "5,0,2"], ["train", "--k", "2"],
+        ["synth", "--height", "4"], ["train", "--dense", "0"],
+        ["train", "--filters", "4,0,4"], ["train", "--kernels", "5,0,2"],
+        ["train", "--k", "2"],
         ["crossval", "--k", "2"],
         ["eval", "--k", "2", "--weights", "ghost.sonn"]],
         ids=lambda argv: f"{argv[0]}{argv[1]}={argv[2]}")
@@ -444,8 +450,11 @@ class TestExitCodes:
         ["crossval", "--folds", "1"],
         ["bench", "--input-height", "10", "--input-width", "10",
          "--filters", "1", "--kernels", "2", "--dense", "2",
-         "--bench-images", "1", "--warmup", "0", "--runs", "1",
-         "--manifest", "m.tsv"]],
+         "--manifest", "m.tsv"],
+        # bench times one fixed protocol: no flag may change it
+        ["bench", "--runs", "3"], ["bench", "--warmup", "1"],
+        ["bench", "--bench-images", "2"], ["bench", "--q", "2"],
+        ["bench", "--seed", "1"]],
         ids=lambda argv: f"{argv[0]}{argv[-2]}")
     def test_unread_flag_rejected(self, argv, tmp_path, capsys):
         out = tmp_path / "D"
@@ -477,9 +486,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["params", "--input-height", "6", "--input-width", "6"],
         ["params", "--input-height", "-3"],
-        ["bench", "--input-height", "6", "--input-width", "6", "--runs", "1",
-         "--bench-images", "1"],
-        ["bench", "--input-height", "-3", "--runs", "1", "--bench-images", "1"]],
+        ["bench", "--input-height", "6", "--input-width", "6"],
+        ["bench", "--input-height", "-3"]],
         ids=lambda argv: f"{argv[0]}{argv[2]}")
     def test_bad_size_fails_before_any_output(self, argv, capsys):
         assert run(argv) == cli.EXIT_USAGE
@@ -804,38 +812,39 @@ class TestRoundReport:
 
 
 class TestBenchCommand:
+    TINY = ["--input-height", "10", "--input-width", "10", "--filters", "1",
+            "--kernels", "2", "--dense", "2"]
+
     def test_output_table(self, capsys):
-        assert run(["bench", "--input-height", "12", "--input-width", "12",
-                    "--filters", "2", "--kernels", "3", "--dense", "2",
-                    "--q", "2", "--bench-images", "2", "--warmup", "1",
-                    "--runs", "3"]) == cli.EXIT_OK
+        assert run(["bench", *self.TINY]) == cli.EXIT_OK
         lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == "2 images per pass, 1 warmup, 3 timed passes"
+        assert lines[0] == "2 images per pass, 1 warmup, 24 timed passes"
         assert lines[1].split() == ["q", "mean_ms", "std_ms", "min_ms",
                                     "max_ms"]
-        assert len(lines) == 3  # --q restricts the sweep to one order
-        cells = lines[2].split()
-        assert cells[0] == "2"
-        assert float(cells[1]) > 0
+        assert all(float(line.split()[1]) > 0 for line in lines[2:])
 
     def test_sweeps_all_orders_by_default(self, capsys):
-        assert run(["bench", "--input-height", "10", "--input-width", "10",
-                    "--filters", "1", "--kernels", "2", "--dense", "2",
-                    "--bench-images", "1", "--warmup", "0",
-                    "--runs", "1"]) == cli.EXIT_OK
+        assert run(["bench", *self.TINY]) == cli.EXIT_OK
         lines = capsys.readouterr().out.strip().splitlines()
         assert [line.split()[0] for line in lines[2:]] == ["1", "2", "3",
                                                            "4", "5"]
 
-    def test_config_file_q_restricts_sweep(self, tmp_path, capsys):
+    def test_config_file_q_leaves_the_sweep_whole(self, tmp_path, capsys):
         ini = tmp_path / "run.ini"
-        ini.write_text("[model]\nq = 2\n")
-        assert run(["bench", "--config", ini, "--input-height", "10",
-                    "--input-width", "10", "--filters", "1", "--kernels", "2",
-                    "--dense", "2", "--bench-images", "1", "--warmup", "0",
-                    "--runs", "1"]) == cli.EXIT_OK
+        ini.write_text("[model]\nq = 3\n")
+        assert run(["bench", "--config", ini, *self.TINY]) == cli.EXIT_OK
         lines = capsys.readouterr().out.strip().splitlines()
-        assert [line.split()[0] for line in lines[2:]] == ["2"]
+        assert [line.split()[0] for line in lines[2:]] == ["1", "2", "3",
+                                                           "4", "5"]
+
+    @pytest.mark.parametrize("key", ["images", "warmup", "repeats"])
+    def test_bench_section_rejected(self, key, tmp_path, capsys):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[bench]\n{key} = 5\n")
+        assert run(["bench", "--config", ini, *self.TINY]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unknown config entry [bench] {key}" in captured.err
 
 
 class TestLogging:

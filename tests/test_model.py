@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import io
+import resource
+import sys
 
 import numpy as np
 import pytest
@@ -269,6 +271,21 @@ class TestFullModel:
         monkeypatch.setattr(ops, "maxpool2x2", lambda a: calls.append(a) or pool(a))
         sm.model_backward(m, cache, g, input_grad=False)
         assert calls == []
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="the package fixes glibc's malloc thresholds")
+    def test_repeated_forwards_fault_no_pages_in(self):
+        # A full-scale forward allocates megabytes of temporaries. Once the
+        # first passes have grown the heap, later ones must reuse it rather
+        # than fault it in again after glibc trimmed the heap top.
+        m = sm.build_model(dataclasses.replace(FULL, q_order=3), 0)
+        x = np.random.default_rng(0).random(FULL.input_shape)
+        for _ in range(2):
+            sm.model_forward(m, x)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(3):
+            sm.model_forward(m, x)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
 
     def test_backward_consumes_the_cache(self):
         m = sm.build_model(REDUCED, 3)

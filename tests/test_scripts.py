@@ -80,6 +80,21 @@ def test_bench_pair_src_lines(tmp_path):
     assert load_bench_pair().src_lines(tmp_path) == 5
 
 
+def test_bench_pair_same_bytes(tmp_path):
+    same_bytes = load_bench_pair().same_bytes
+    a, b = tmp_path / "a", tmp_path / "b"
+    for d in (a, b):
+        (d / "sub").mkdir(parents=True)
+        (d / "x.txt").write_bytes(b"one\n")
+        (d / "sub" / "y.bin").write_bytes(bytes(range(256)))
+    assert same_bytes(a, b)
+    (b / "sub" / "y.bin").write_bytes(bytes(range(255)) + b"\x00")
+    assert not same_bytes(a, b)
+    (b / "sub" / "y.bin").write_bytes(bytes(range(256)))
+    (b / "x.txt").unlink()
+    assert not same_bytes(a, b) and not same_bytes(b, a)
+
+
 def test_bench_pair_summary():
     bench_pair = load_bench_pair()
 
