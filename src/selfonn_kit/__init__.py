@@ -7,14 +7,4 @@ the optimization loop, `data` and `synth` handle images and corpora,
 `selfonn-kit` command.
 """
 
-import ctypes
-import sys
-
 __version__ = "0.1.0"
-
-# glibc's default thresholds move with past frees, so whether a pass faulted
-# its temporaries in again hung on unrelated allocations. Fix them: arrays
-# below 32 MiB come from the heap, and a freed heap top stays mapped.
-if sys.platform.startswith("linux") and hasattr(_libc := ctypes.CDLL(None), "mallopt"):
-    _libc.mallopt(-3, 1 << 25)  # M_MMAP_THRESHOLD
-    _libc.mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD

@@ -524,8 +524,7 @@ def cmd_bench(cfg: RunConfig) -> int:
     models = [build_model(_model_config(cfg, shape, q_order=q),
                           derive_seed(0, STREAM_INIT, q, 0))
               for q in range(1, 6)]
-    rng = np.random.default_rng(derive_seed(0, STREAM_BENCH))
-    images = [rng.random(shape) for _ in range(2)]
+    images = np.random.default_rng(derive_seed(0, STREAM_BENCH)).random((2, *shape))
     per_image_ms = 1e3 * bench_inference(models, images)
     print(f"{len(images)} images per pass, 1 warmup, "
           f"{per_image_ms.shape[1]} timed passes")

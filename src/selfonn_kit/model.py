@@ -294,10 +294,12 @@ def model_forward(model: Model, x: Tensor,
     for layer in model.blocks:
         stack = power_stack(cur, layer.q_order)
         pre = selfonn_forward(layer, stack)
+        stack = stack if train_mode else None  # inference frees maps once read
         cur = ops.maxpool2x2(pre)  # tanh is monotonic, so it can follow the pool
         ops.tanh_forward(cur, out=cur)
         if train_mode:
             block_caches.append(BlockCache(stack, pre, cur))
+        del pre
     flat_in = cur.reshape(*cur.shape[:-3], -1)
     hidden_act = ops.dense_forward(flat_in, model.hidden.weights, model.hidden.bias)
     ops.tanh_forward(hidden_act, out=hidden_act)

@@ -1,8 +1,7 @@
 import dataclasses
 import hashlib
 import io
-import resource
-import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -272,20 +271,25 @@ class TestFullModel:
         sm.model_backward(m, cache, g, input_grad=False)
         assert calls == []
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux"),
-                        reason="the package fixes glibc's malloc thresholds")
-    def test_repeated_forwards_fault_no_pages_in(self):
-        # A full-scale forward allocates megabytes of temporaries. Once the
-        # first passes have grown the heap, later ones must reuse it rather
-        # than fault it in again after glibc trimmed the heap top.
-        m = sm.build_model(dataclasses.replace(FULL, q_order=3), 0)
+    @pytest.mark.parametrize("q", [1, 3])
+    def test_inference_holds_one_block_of_maps(self, q):
+        # An inference pass frees each power stack once convolved and each
+        # pre-activation once pooled, so its peak is the first block's
+        # pre-activation, column-pair maxima and pooled map. Holding the
+        # stack or the previous block's maps as well put a full-scale pass
+        # at the size where glibc hands its freed heap top back, and then
+        # every pass faulted its maps in again.
+        m = sm.build_model(dataclasses.replace(FULL, q_order=q), 0)
         x = np.random.default_rng(0).random(FULL.input_shape)
-        for _ in range(2):
+        tracemalloc.start()
+        try:
             sm.model_forward(m, x)
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        for _ in range(3):
-            sm.model_forward(m, x)
-        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (_, h, w), k = FULL.input_shape, FULL.kernel_sizes[0]
+        pre = FULL.block_filters[0] * (h - k + 1) * (w - k + 1) * 8  # bytes
+        assert peak < pre * (1 + 1 / 2 + 1 / 4) + 2**18
 
     def test_backward_consumes_the_cache(self):
         m = sm.build_model(REDUCED, 3)
