@@ -18,9 +18,9 @@ run per tree and workload. It writes, at the repository root:
   (SYNTH), then each tree runs CROSSVAL on it CROSSVAL_RUNS times,
   alternating which tree goes first, each run into a fresh `--out` and
   timed by wall clock. The entry holds both commands, each tree's spread
-  of seconds, the OPENBLAS_NUM_THREADS in force, and whether the first
-  HEAD run and the first REV run wrote the same files and stdout, byte
-  for byte.
+  of seconds and its minor page faults per run, the OPENBLAS_NUM_THREADS
+  in force, and whether the first HEAD run and the first REV run wrote the
+  same files and stdout, byte for byte.
 
 Usage (from anywhere in the repository):
     python3 scripts/bench_pair.py HEAD~1 candidate
@@ -28,6 +28,7 @@ Usage (from anywhere in the repository):
 
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -82,9 +83,16 @@ def perfbench(tree: Path, workload: str, seed: int, trace: int) -> dict:
     return {"provenance": provenance, **json.loads(lines[-1])}
 
 
-def selfonn(tree: Path, command: str, *args: str) -> tuple[float, str]:
-    """Run the tree's own `selfonn-kit`; its wall seconds and its stdout."""
+def child_faults() -> int:
+    """Minor page faults of all waited-for child processes so far."""
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+
+
+def selfonn(tree: Path, command: str, *args: str) -> tuple[float, int, str]:
+    """Run the tree's own `selfonn-kit`; its wall seconds, minor page faults
+    and stdout."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    faults = child_faults()
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "selfonn_kit",
                            *command.split(), *args],
@@ -92,7 +100,7 @@ def selfonn(tree: Path, command: str, *args: str) -> tuple[float, str]:
     seconds = time.perf_counter() - start
     if proc.returncode:
         sys.exit(f"{tree} {command}: exit {proc.returncode}\n{proc.stderr}")
-    return seconds, proc.stdout
+    return seconds, child_faults() - faults, proc.stdout
 
 
 def same_bytes(a: Path, b: Path) -> bool:
@@ -104,22 +112,26 @@ def same_bytes(a: Path, b: Path) -> bool:
 
 
 def time_crossval(trees: dict, tmp: Path) -> dict:
-    """Wall seconds of CROSSVAL per tree on one corpus SYNTH wrote."""
+    """Wall seconds and minor page faults of CROSSVAL per tree on one
+    corpus SYNTH wrote."""
     corpus = tmp / "corpus"
     selfonn(trees["rev"], SYNTH, "--out", str(corpus))
     seconds = {tree: [] for tree in trees}
+    faults = {tree: [] for tree in trees}
     stdout = {}
     for turn in range(CROSSVAL_RUNS):
         for tree in ("head", "rev")[::-1 if turn % 2 else 1]:
             out = tmp / f"cv_{tree}{turn}"
-            took, stdout[tree, turn] = selfonn(
+            took, faulted, stdout[tree, turn] = selfonn(
                 trees[tree], CROSSVAL, "--manifest",
                 str(corpus / "manifest.tsv"), "--out", str(out))
             seconds[tree].append(took)
+            faults[tree].append(faulted)
     return {"synth": SYNTH, "command": CROSSVAL,
             "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS",
                                                    "unset"),
-            **{tree: spread(seconds[tree]) for tree in trees},
+            **{tree: {**spread(seconds[tree]), "minor_faults": faults[tree]}
+               for tree in trees},
             "artifacts_identical": (
                 same_bytes(tmp / "cv_head0", tmp / "cv_rev0")
                 and stdout["head", 0] == stdout["rev", 0])}

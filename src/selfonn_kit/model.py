@@ -10,7 +10,8 @@ Forward and backward passes take one image ``[C, H, W]`` or a batch
 ``[N, C, H, W]`` through the same code. A batch runs each layer once for all
 samples, with per-sample GEMMs, and adds the per-sample parameter gradients
 to the gradient buffer one sample at a time, so the result is bitwise the
-running total of one-image passes.
+running total of one-image passes. A training pass writes its maps into
+buffers kept from the previous pass; an inference pass frees them once read.
 
 All parameters live in one flat float64 buffer; the per-layer arrays are
 reshaped views into it, which keeps optimizer updates, snapshots and the
@@ -188,15 +189,15 @@ def build_model(config: ModelConfig, rng_seed: int) -> Model:
     return model
 
 
-def power_stack(x: Tensor, q_order: int) -> Tensor:
+def power_stack(x: Tensor, q_order: int, out: Tensor | None = None) -> Tensor:
     """Channel-stacked powers [x, x**2, ..., x**Q] of shape (..., Q*Cin, H, W).
 
     Built by repeated multiplication and computed once per forward pass, so
     forward and backward see numerically identical power maps. Channel
-    block q (zero-based) holds x**(q+1).
+    block q (zero-based) holds x**(q+1). Written into `out` when given.
     """
     cin = x.shape[-3]
-    stack = np.empty((*x.shape[:-3], q_order * cin, *x.shape[-2:]))
+    stack = np.empty((*x.shape[:-3], q_order * cin, *x.shape[-2:])) if out is None else out
     stack[..., :cin, :, :] = x
     for q in range(1, q_order):
         np.multiply(stack[..., (q - 1) * cin:q * cin, :, :], x,
@@ -223,7 +224,8 @@ def _merged_kernels(layer: SelfOnnLayerParams) -> Tensor:
     return layer.kernels.transpose(1, 0, 2, 3, 4).reshape(cout, q * cin, kh, kw)
 
 
-def selfonn_forward(layer: SelfOnnLayerParams, stack: Tensor) -> Tensor:
+def selfonn_forward(layer: SelfOnnLayerParams, stack: Tensor,
+                    out: Tensor | None = None) -> Tensor:
     """Generative-layer forward: sum over q of conv(x**q, kernels[q]) + biases.
 
     `stack` is the input's power_stack. All Q terms run as one convolution
@@ -231,11 +233,12 @@ def selfonn_forward(layer: SelfOnnLayerParams, stack: Tensor) -> Tensor:
     exactly conv2d_valid(x, kernels[0], biases[0]), bit for bit.
     """
     return ops.conv2d_valid(stack, _merged_kernels(layer),
-                            layer.biases.sum(axis=0))
+                            layer.biases.sum(axis=0), out=out)
 
 
 def selfonn_backward(layer: SelfOnnLayerParams, stack: Tensor, grad_out: Tensor,
-                     input_grad: bool = True) -> tuple[Tensor, Tensor, Tensor | None]:
+                     input_grad: bool = True,
+                     padded: Tensor | None = None) -> tuple[Tensor, Tensor, Tensor | None]:
     """Backward through a generative layer given its forward power stack.
 
     `stack` is [..., Q*Cin, H, W] and `grad_out` [..., Cout, H', W'] with the
@@ -244,9 +247,9 @@ def selfonn_backward(layer: SelfOnnLayerParams, stack: Tensor, grad_out: Tensor,
     input's shape. One weight-adjoint call over the whole stack gives every
     power map's kernel gradient; every per-q bias sees the same summed
     grad_out. The input gradient, None unless `input_grad`, is one
-    input-adjoint call with the merged bank followed by the power rule,
-    grad_input = sum_q q * x**(q-1) * adjoint_q, the q=1 term added
-    directly since its factor is one.
+    input-adjoint call with the merged bank (padding into `padded`) followed
+    by the power rule, grad_input = sum_q q * x**(q-1) * adjoint_q, the q=1
+    term added directly since its factor is one.
     """
     q_order, cout, cin, kh, kw = layer.kernels.shape
     lead = stack.shape[:-3]
@@ -256,7 +259,7 @@ def selfonn_backward(layer: SelfOnnLayerParams, stack: Tensor, grad_out: Tensor,
     grad_biases = np.broadcast_to(gb[..., None, :], (*lead, q_order, cout))
     if not input_grad:
         return grad_kernels, grad_biases, None
-    gin_all = ops.conv2d_backward_input(_merged_kernels(layer), grad_out)
+    gin_all = ops.conv2d_backward_input(_merged_kernels(layer), grad_out, padded)
     grad_input = gin_all[..., :cin, :, :]
     for q in range(1, q_order):
         grad_input = grad_input + (q + 1) * stack[..., (q - 1) * cin:q * cin, :, :] \
@@ -278,27 +281,35 @@ class ForwardCache:
     hidden_activated: Tensor
 
 
-def model_forward(model: Model, x: Tensor,
-                  train_mode: bool = False) -> tuple[Tensor, ForwardCache | None]:
+def model_forward(model: Model, x: Tensor, train_mode: bool = False,
+                  maps: dict | None = None) -> tuple[Tensor, ForwardCache | None]:
     """Forward pass to raw logits; caches intermediates when training.
 
     `x` is one image [C,H,W], giving (K,) logits, or a batch [N,C,H,W],
     giving (N,K); each sample's logits are bitwise those it gets alone.
+    `maps`, a training loop's dict, keeps each block's power stack,
+    pre-activation and pooled map for the next pass of the same input shape.
     """
     cfg = model.config
     if x.ndim < 3 or tuple(x.shape[-3:]) != cfg.input_shape:
         raise DimensionError(
             f"input shape {tuple(x.shape)} vs configured {cfg.input_shape}")
+    maps = {} if maps is None else maps
+    if maps.get("shape") != x.shape:
+        maps.clear()
+        maps["shape"] = x.shape
     block_caches = []
     cur = x
-    for layer in model.blocks:
-        stack = power_stack(cur, layer.q_order)
-        pre = selfonn_forward(layer, stack)
+    for i, layer in enumerate(model.blocks):
+        kept = maps.get(("block", i)) or BlockCache(None, None, None)
+        stack = power_stack(cur, layer.q_order, out=kept.stack)
+        pre = selfonn_forward(layer, stack, out=kept.pre)
         stack = stack if train_mode else None  # inference frees maps once read
-        cur = ops.maxpool2x2(pre)  # tanh is monotonic, so it can follow the pool
+        cur = ops.maxpool2x2(pre, out=kept.activated)  # tanh is monotonic: pool first
         ops.tanh_forward(cur, out=cur)
         if train_mode:
             block_caches.append(BlockCache(stack, pre, cur))
+            maps["block", i] = block_caches[-1]
         del pre
     flat_in = cur.reshape(*cur.shape[:-3], -1)
     hidden_act = ops.dense_forward(flat_in, model.hidden.weights, model.hidden.bias)
@@ -309,8 +320,8 @@ def model_forward(model: Model, x: Tensor,
 
 
 def model_backward(model: Model, cache: ForwardCache, grad_logits: Tensor,
-                   input_grad: bool = True,
-                   grads: Tensor | None = None) -> tuple[Tensor, Tensor | None]:
+                   input_grad: bool = True, grads: Tensor | None = None,
+                   maps: dict | None = None) -> tuple[Tensor, Tensor | None]:
     """Backward pass from dL/dlogits, (K,) for one image or (N,K) for a batch.
 
     Returns (flat_grads, grad_input). flat_grads is the parameter gradient
@@ -320,7 +331,8 @@ def model_backward(model: Model, cache: ForwardCache, grad_logits: Tensor,
     the network input, shaped like that input, or None when `input_grad` is
     False (training never uses it). The cache must come from a forward pass
     of the same configuration; the pass consumes it, overwriting the cached
-    activations and popping each block's entry once done with it.
+    maps with their gradients and popping each block's entry once done with
+    it. `maps`, the forward's dict, also keeps each input adjoint's padding.
     """
     if cache is None or cache.config != model.config:
         raise ConsistencyError("forward cache does not match this model")
@@ -345,10 +357,15 @@ def model_backward(model: Model, cache: ForwardCache, grad_logits: Tensor,
     g = g_flat.reshape(cache.blocks[-1].activated.shape)
     for i in range(len(model.blocks) - 1, -1, -1):
         stack, pre, act = cache.blocks.pop()
-        g_pre = ops.maxpool2x2_backward(ops.tanh_backward(act, g, out=act), pre)
-        del pre  # freed before the conv adjoints run
-        gk, gb, g = selfonn_backward(model.blocks[i], stack, g_pre,
-                                     input_grad=input_grad or i > 0)
+        g_pre = ops.maxpool2x2_backward(ops.tanh_backward(act, g, out=act), pre,
+                                        out=pre)
+        need = input_grad or i > 0
+        if need and maps is not None and ("padded", i) not in maps:  # border zeroed once
+            k = model.config.kernel_sizes[i]
+            maps["padded", i] = np.zeros(
+                (*g_pre.shape[:-2], *(n + 2 * k - 2 for n in g_pre.shape[-2:])))
+        gk, gb, g = selfonn_backward(model.blocks[i], stack, g_pre, need,
+                                     None if maps is None else maps.get(("padded", i)))
         add_in_order(gview.blocks[i].kernels, gk)
         add_in_order(gview.blocks[i].biases, gb)
     return grads, g

@@ -12,11 +12,13 @@ pure functions with hand-derived backward passes. No autograd graph.
 
 Convolutions and their adjoints run as GEMMs over im2col patch matrices
 built one band of output rows at a time for all samples at once, so they
-stay cache-sized. Each band is a stacked ``np.matmul``, one BLAS call per
+stay cache-sized; a call copies every band out of one window view into
+one patch buffer. Each band is a stacked ``np.matmul``, one BLAS call per
 sample, so every sample's result is bitwise what it would be on its own.
 The input adjoint is the forward convolution of the zero-padded output
 gradient with the flipped bank; the weight adjoint adds up its bands in
-order, with a band height set by the map width alone.
+order, with a band height set by the map width alone. An ``out=`` array
+gets the bits a fresh one would.
 
 Shapes are checked at the model boundary, not here: ``ModelConfig`` fixes
 every layer's map and kernel sizes and ``model_forward`` checks the input,
@@ -48,15 +50,21 @@ class DimensionError(ValueError):
     """Shapes handed to an operation do not fit together."""
 
 
-def _im2col(x: Tensor, kh: int, kw: int) -> Tensor:
-    """Patch matrices (..., Cin*kh*kw, H'*W') for a [..., Cin, H, W] input."""
-    *lead, cin, h, w = x.shape
-    hp, wp = h - kh + 1, w - kw + 1
+def _windows(x: Tensor, kh: int, kw: int) -> Tensor:
+    """(N, Cin, kh, kw, H', W') view of the kh x kw windows of an [N, Cin, H, W] map."""
+    n, cin, h, w = x.shape
     row, col = x.strides[-2:]
-    # (..., Cin, kh, kw, H', W') window view; the reshape copies it out.
-    win = as_strided(x, (*lead, cin, kh, kw, hp, wp),
-                     (*x.strides[:-2], row, col, row, col), writeable=False)
-    return win.reshape(*lead, cin * kh * kw, hp * wp)
+    return as_strided(x, (n, cin, kh, kw, h - kh + 1, w - kw + 1),
+                      (*x.strides[:-2], row, col, row, col), writeable=False)
+
+
+def _patches(win: Tensor, r0: int, r1: int, buf: Tensor) -> Tensor:
+    """Patch matrices (N, Cin*kh*kw, (r1-r0)*W') of output rows r0:r1 of the
+    window view `win`, copied C-contiguous into the front of the flat `buf`."""
+    band = win[..., r0:r1, :]
+    cols = buf[:band.size].reshape(band.shape)
+    np.copyto(cols, band)
+    return cols.reshape(len(win), -1, band.shape[-2] * band.shape[-1])
 
 
 def _band_step(wp: int) -> int:
@@ -77,29 +85,29 @@ def _band_rows(patch: int, wp: int) -> int:
     return max(step, rows - rows % step)
 
 
-def conv2d_valid(x: Tensor, kernels: Tensor, bias: Tensor | None = None) -> Tensor:
+def conv2d_valid(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
+                 out: Tensor | None = None) -> Tensor:
     """Valid cross-correlation of a [..., Cin, H, W] map with a [Cout,Cin,Kh,Kw] bank.
 
     out[...,o,m,n] = bias[o] + sum_{c,r,t} kernels[o,c,r,t] * x[...,c,m+r,n+t]
 
     No padding, no kernel flip; the output shrinks to [..., Cout, H-Kh+1,
-    W-Kw+1]. Each band of output rows (see _band_rows, sized for all samples
+    W-Kw+1], written into `out` (C-contiguous, of that shape) when given.
+    Each band of output rows (see _band_rows, sized for all samples
     together) is one stacked matmul: a GEMM per sample, never one GEMM
     across samples, so a sample's output does not depend on its batch.
     """
     cout, cin, kh, kw = kernels.shape
-    lead = x.shape[:-3]
-    samples = x.reshape(-1, *x.shape[-3:])
-    hp = x.shape[-2] - kh + 1
-    wp = x.shape[-1] - kw + 1
+    win = _windows(x.reshape(-1, *x.shape[-3:]), kh, kw)
+    n, _, _, _, hp, wp = win.shape
     kmat = kernels.reshape(cout, cin * kh * kw)
-    rows = _band_rows(samples.shape[0] * kmat.shape[1], wp)
-    out = np.empty((samples.shape[0], cout, hp * wp))
+    rows = min(_band_rows(n * kmat.shape[1], wp), hp)
+    out = np.empty((*x.shape[:-3], cout, hp, wp)) if out is None else out
+    flat = out.reshape(n, cout, hp * wp)
+    buf = np.empty(n * kmat.shape[1] * rows * wp)
     for r0 in range(0, hp, rows):
         r1 = min(r0 + rows, hp)
-        np.matmul(kmat, _im2col(samples[:, :, r0:r1 + kh - 1], kh, kw),
-                  out=out[:, :, r0 * wp:r1 * wp])
-    out = out.reshape(*lead, cout, hp, wp)
+        np.matmul(kmat, _patches(win, r0, r1, buf), out=flat[:, :, r0 * wp:r1 * wp])
     if bias is not None:
         out += bias[:, None, None]
     return out
@@ -117,29 +125,37 @@ def conv2d_backward_weights(x: Tensor, grad_out: Tensor) -> Tensor:
     *lead, cin, h, w = x.shape
     cout, hp, wp = grad_out.shape[-3:]
     kh, kw = h - hp + 1, w - wp + 1
-    samples = x.reshape(-1, cin, h, w)
+    win = _windows(x.reshape(-1, cin, h, w), kh, kw)
     grads = grad_out.reshape(-1, cout, hp * wp)
-    rows = _band_step(wp)
-    total = np.zeros((samples.shape[0], cout, cin * kh * kw))
+    rows = min(_band_step(wp), hp)
+    total = np.zeros((grads.shape[0], cout, cin * kh * kw))
+    band = np.empty_like(total)
+    buf = np.empty(total.size // cout * rows * wp)
     for r0 in range(0, hp, rows):
         r1 = min(r0 + rows, hp)
-        cols = _im2col(samples[:, :, r0:r1 + kh - 1], kh, kw)
-        total += np.matmul(grads[:, :, r0 * wp:r1 * wp], cols.swapaxes(-1, -2))
+        np.matmul(grads[:, :, r0 * wp:r1 * wp],
+                  _patches(win, r0, r1, buf).swapaxes(-1, -2), out=band)
+        total += band
     return total.reshape(*lead, cout, cin, kh, kw)
 
 
-def conv2d_backward_input(kernels: Tensor, grad_out: Tensor) -> Tensor:
+def conv2d_backward_input(kernels: Tensor, grad_out: Tensor,
+                          padded: Tensor | None = None) -> Tensor:
     """Input gradient of conv2d_valid for a [..., Cout, H', W'] output gradient.
 
     dY[...,c,i,j] = sum over (o,r,t) with 0 <= i-r < H', 0 <= j-t < W' of
     kernels[o,c,r,t] * grad_out[...,o,i-r,j-t]: the valid convolution of
     grad_out, zero-padded by Kh-1 rows and Kw-1 columns on each side, with
-    the flipped, transposed bank.
+    the flipped, transposed bank. `padded`, if given, is the zero-bordered
+    [..., Cout, H'+2Kh-2, W'+2Kw-2] buffer to pad into: only its interior
+    is written, so its border must already be zero.
     """
     kh, kw = kernels.shape[-2:]
-    pad = [(0, 0)] * (grad_out.ndim - 2) + [(kh - 1, kh - 1), (kw - 1, kw - 1)]
-    return conv2d_valid(np.pad(grad_out, pad),
-                        kernels[:, :, ::-1, ::-1].swapaxes(0, 1))
+    hp, wp = grad_out.shape[-2:]
+    if padded is None:
+        padded = np.zeros((*grad_out.shape[:-2], hp + 2 * kh - 2, wp + 2 * kw - 2))
+    padded[..., kh - 1:kh - 1 + hp, kw - 1:kw - 1 + wp] = grad_out
+    return conv2d_valid(padded, kernels[:, :, ::-1, ::-1].swapaxes(0, 1))
 
 
 def tanh_forward(t: Tensor, out: Tensor | None = None) -> Tensor:
@@ -168,20 +184,21 @@ def _pool_cells(x: Tensor) -> tuple[Tensor, Tensor, Tensor, Tensor]:
     return tuple(x[..., a:2 * h2:2, b:2 * w2:2] for a in (0, 1) for b in (0, 1))
 
 
-def maxpool2x2(x: Tensor) -> Tensor:
+def maxpool2x2(x: Tensor, out: Tensor | None = None) -> Tensor:
     """Disjoint 2x2 stride-2 max pool of a [..., C, H, W] map; odd edges are dropped.
 
     Two np.maximum passes, column pairs then row pairs, give
     max(max(c3, c2), max(c1, c0)) over the row-major cells. np.maximum returns
     its second argument on ties, so a tied window (+0.0 against -0.0) keeps
-    its first cell's value, as the loop oracle does.
+    its first cell's value, as the loop oracle does. Written into `out`.
     """
     h2, w2 = x.shape[-2] // 2, x.shape[-1] // 2
     cols = np.maximum(x[..., :2 * h2, 1:2 * w2:2], x[..., :2 * h2, 0:2 * w2:2])
-    return np.maximum(cols[..., 1::2, :], cols[..., 0::2, :])
+    return np.maximum(cols[..., 1::2, :], cols[..., 0::2, :], out=out)
 
 
-def maxpool2x2_backward(grad_out: Tensor, x: Tensor) -> Tensor:
+def maxpool2x2_backward(grad_out: Tensor, x: Tensor,
+                        out: Tensor | None = None) -> Tensor:
     """Route the pooled gradient back through maxpool2x2 of the map `x`.
 
     `x` is a block's pre-activation (blocks pool before tanh). Each window's
@@ -189,14 +206,16 @@ def maxpool2x2_backward(grad_out: Tensor, x: Tensor) -> Tensor:
     unless the bottom row's max is larger, then the left cell of that row
     unless the right one is larger. That is the first cell in row-major
     order equal to the window max, so ties route deterministically; every
-    other cell, and any dropped odd edge, gets +0.0.
+    other cell, and any dropped odd edge, gets +0.0. Pass out=x to overwrite
+    `x`, which is read in full before the first write.
     """
     c0, c1, c2, c3 = _pool_cells(x)
     top = np.maximum(c1, c0) >= np.maximum(c3, c2)
     left_top, left_bottom = c0 >= c1, c2 >= c3
     picks = (top & left_top, top > left_top, left_bottom > top,
              ~(top | left_bottom))
-    grad = np.zeros_like(x)
+    grad = np.empty_like(x) if out is None else out
+    grad[...] = 0.0
     for grad_cell, pick in zip(_pool_cells(grad), picks):
         np.copyto(grad_cell, grad_out, where=pick)
     return grad

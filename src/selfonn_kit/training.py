@@ -9,7 +9,8 @@ the validation loss in a fixed order (schedule first, then the stopper).
 Training batches and evaluation sets run as batch-major passes over
 [N, C, H, W], all cut, gathered and run by _forward_passes. Per-sample
 gradients and losses are still added in sample order, so every result is
-bitwise that of a loop over single samples.
+bitwise that of a loop over single samples. `fit` keeps each training
+pass's maps for the next pass and drops them when it returns.
 """
 
 from __future__ import annotations
@@ -159,18 +160,19 @@ def _check_set(images, labels, name: str) -> None:
         raise ValueError(f"the {name} set is empty")
 
 
-def _forward_passes(model: Model, images, order: np.ndarray, train_mode=False):
+def _forward_passes(model: Model, images, order: np.ndarray, maps=None):
     """Yield (part, logits, cache) for the images at `order`, a pass at a time.
 
-    A pass holds _PASS_PIXELS input pixels (at least one image). The stacked
-    input is dropped when the forward returns; the cache keeps only what
-    the backward needs.
+    A pass holds _PASS_PIXELS input pixels (at least one image). Given
+    `maps`, they are training passes keeping their maps there (see
+    model_forward). The stacked input is dropped when the forward returns;
+    the cache keeps only what the backward needs.
     """
     step = max(1, _PASS_PIXELS // int(np.prod(model.config.input_shape)))
     for lo in range(0, len(order), step):
         part = order[lo:lo + step]
         yield (part, *model_forward(model, np.stack([images[i] for i in part]),
-                                    train_mode=train_mode))
+                                    train_mode=maps is not None, maps=maps))
 
 
 def evaluate(model: Model, images: list[Tensor] | np.ndarray,
@@ -211,6 +213,7 @@ def fit(model: Model, train_images, train_labels, val_images, val_labels,
     stopper = EarlyStopper()
     history: list[EpochRecord] = []
     n_batches = (len(train_images) + config.batch_size - 1) // config.batch_size
+    maps: dict = {}  # training-pass maps kept from pass to pass
     for epoch in range(config.max_epochs):
         order = rng.permutation(len(train_images))
         train_total = 0.0
@@ -221,11 +224,11 @@ def fit(model: Model, train_images, train_labels, val_images, val_labels,
                 grads = np.zeros_like(model.flat)
                 batch_loss = 0.0
                 for part, logits, cache in _forward_passes(model, train_images, batch,
-                                                           train_mode=True):
+                                                           maps):
                     losses, grad_logits = ops.cross_entropy_with_softmax(
                         logits, train_labels[part])
                     model_backward(model, cache, grad_logits, input_grad=False,
-                                   grads=grads)
+                                   grads=grads, maps=maps)
                     batch_loss = add_in_order(batch_loss, losses)
                 grads /= len(batch)
                 if not np.isfinite(batch_loss) or not np.all(np.isfinite(grads)):

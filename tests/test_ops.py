@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from selfonn_kit import ops
 from selfonn_kit.model import ModelConfig, build_model, model_forward, power_stack
@@ -76,7 +77,9 @@ class TestConvForward:
         assert np.allclose(got, conv2d_valid_loops(x, k, b),
                            rtol=1e-12, atol=1e-12)
         # Band widths keep whole GEMM column blocks, so banding moves no bit.
-        whole = (k.reshape(2, -1) @ ops._im2col(x, 5, 5)).reshape(got.shape)
+        patches = sliding_window_view(x, (5, 5), axis=(-2, -1))  # (3, H', W', 5, 5)
+        patches = patches.transpose(0, 3, 4, 1, 2).reshape(3 * 5 * 5, -1)
+        whole = (k.reshape(2, -1) @ patches).reshape(got.shape)
         assert np.array_equal(got, whole + b[:, None, None])
 
 
@@ -454,3 +457,99 @@ class TestBatchedOps:
             alone, _ = model_forward(net, xi)
             assert alone.shape == (3,)
             assert np.array_equal(li, alone)
+
+
+def same_bits(got, want):
+    """Equal shapes and bit patterns, signed zeros and NaN payloads included."""
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64),
+                                                      want.view(np.uint64))
+
+
+def with_specials(x, r):
+    """`x` rounded (ties, +0.0 against -0.0) with +-inf and NaN cells mixed in."""
+    x = np.round(x)
+    u = r.random(x.shape)
+    x[u < 0.1] = np.inf
+    x[(u >= 0.1) & (u < 0.2)] = -np.inf
+    x[(u >= 0.2) & (u < 0.25)] = np.nan
+    return x
+
+
+class TestOutBuffers:
+    """An out= call writes the bits of the fresh-array call into `out`, whatever
+    `out` held before; training passes reuse their buffers this way."""
+
+    @staticmethod
+    def stale(shape, r):
+        out = r.standard_normal(shape)
+        out.flat[::3] = np.nan
+        return out
+
+    @pytest.mark.parametrize("kind", ["random", "specials"])
+    @pytest.mark.parametrize("lead", [(), (1,), (5,)])
+    @pytest.mark.parametrize("h,w", [(21, 121), (9, 12), (8, 11)])
+    def test_conv2d_valid(self, h, w, lead, kind):
+        r = rng(70)
+        x = r.standard_normal((*lead, 1, h, w))
+        if kind == "specials":
+            x = with_specials(x, r)
+        x = power_stack(x, 3)  # Q=3
+        if h == 21:  # several bands and a short last band
+            rows = ops._band_rows(int(np.prod(lead)) * 3 * 5 * 5, w - 4)
+            assert rows < h - 4 and (h - 4) % rows
+        k = r.standard_normal((2, 3, 5, 5))
+        for b in (None, r.standard_normal(2)):
+            with np.errstate(invalid="ignore"):  # inf - inf in the GEMMs
+                want = ops.conv2d_valid(x, k, b)
+                out = self.stale(want.shape, r)
+                assert ops.conv2d_valid(x, k, b, out=out) is out
+            assert same_bits(out, want)
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    @pytest.mark.parametrize("lead", [(), (4,)])
+    def test_power_stack(self, q, lead):
+        r = rng(71)
+        x = with_specials(r.standard_normal((*lead, 2, 7, 9)) * 2, r)
+        want = power_stack(x, q)
+        out = self.stale(want.shape, r)
+        assert power_stack(x, q, out=out) is out
+        assert same_bits(out, want)
+
+    @pytest.mark.parametrize("kind", ["random", "ties", "specials"])
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    @pytest.mark.parametrize("h,w", [(6, 8), (7, 9), (2, 3)])
+    def test_maxpool2x2_and_backward(self, h, w, lead, kind):
+        r = rng(72)
+        x = r.standard_normal((*lead, 2, h, w))
+        if kind == "ties":
+            x = np.round(x)
+        elif kind == "specials":
+            x = with_specials(x, r)
+            x[..., 0, :2, :2] = np.nan     # an all-NaN window
+            x[..., 1, :2, :2] = -np.inf    # a window with no cell above -inf
+        want = ops.maxpool2x2(x)
+        out = self.stale(want.shape, r)
+        assert ops.maxpool2x2(x, out=out) is out
+        assert same_bits(out, want)
+        g = r.standard_normal(want.shape)
+        g.flat[0] = -0.0
+        want_back = ops.maxpool2x2_backward(g, x.copy())
+        assert ops.maxpool2x2_backward(g, x, out=x) is x  # in place, as training does
+        assert same_bits(x, want_back)
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_conv2d_backward_input_pads_into_buffer(self, lead):
+        # The same zero-bordered buffer serves two gradients in a row: only
+        # its interior is written, so its border stays zero.
+        r = rng(73)
+        k = r.standard_normal((2, 6, 3, 2))
+        padded = np.zeros((*lead, 2, 7 + 4, 9 + 2))
+        for kind in ("random", "specials"):
+            g = r.standard_normal((*lead, 2, 7, 9))
+            if kind == "specials":
+                g = with_specials(g, r)
+            with np.errstate(invalid="ignore"):
+                want = ops.conv2d_backward_input(k, g)
+                assert same_bits(ops.conv2d_backward_input(k, g, padded), want)
+        assert not np.any(padded[..., :2, :]) and not np.any(padded[..., -2:, :])
+        assert not np.any(padded[..., :1]) and not np.any(padded[..., -1:])

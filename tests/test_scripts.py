@@ -152,3 +152,42 @@ def test_bench_pair_summary():
     for head, rev, sign, want in cases:
         wins = sum(sign * (h - r) > 0 for h, r in zip(head, rev))
         assert bench_pair.verdict(head, rev, wins, 0.15, sign) == want, (head, rev)
+
+
+def test_bench_pair_selfonn_counts_child_faults(tmp_path):
+    # A stand-in package whose `__main__` writes 32 MiB, at least 8192
+    # fresh 4 KiB pages, then echoes its arguments.
+    pkg = tmp_path / "src" / "selfonn_kit"
+    pkg.mkdir(parents=True)
+    (pkg / "__main__.py").write_text(
+        "import sys\nblock = bytearray(32 << 20)\nblock[::4096] = b'x' * (8 << 10)\n"
+        "print(' '.join(sys.argv[1:]))\n", encoding="utf-8")
+    seconds, faults, stdout = load_bench_pair().selfonn(tmp_path, "crossval --q 2",
+                                                        "--out", "o")
+    assert seconds > 0 and stdout == "crossval --q 2 --out o\n"
+    assert faults >= 8 << 10
+
+
+def test_bench_pair_crossval_records_faults(tmp_path, monkeypatch):
+    bench_pair = load_bench_pair()
+    calls = []
+
+    def fake_selfonn(tree, command, *args):
+        out = Path(args[args.index("--out") + 1])
+        out.mkdir()
+        (out / "report.txt").write_text("same\n", encoding="utf-8")
+        calls.append((tree, command.split()[0]))
+        return float(len(calls)), 100 * len(calls), "same\n"
+
+    monkeypatch.setattr(bench_pair, "selfonn", fake_selfonn)
+    monkeypatch.setattr(bench_pair, "CROSSVAL_RUNS", 3)
+    entry = bench_pair.time_crossval({"head": "H", "rev": "R"}, tmp_path)
+    # synth once from REV's tree, then head/rev, rev/head, head/rev
+    assert calls == [("R", "synth"), ("H", "crossval"), ("R", "crossval"),
+                     ("R", "crossval"), ("H", "crossval"), ("H", "crossval"),
+                     ("R", "crossval")]
+    assert entry["head"]["runs"] == [2.0, 5.0, 6.0]
+    assert entry["head"]["minor_faults"] == [200, 500, 600]
+    assert entry["rev"]["runs"] == [3.0, 4.0, 7.0]
+    assert entry["rev"]["minor_faults"] == [300, 400, 700]
+    assert entry["rev"]["median"] == 4.0 and entry["artifacts_identical"]

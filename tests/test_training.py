@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import astuple
 from pathlib import Path
@@ -401,6 +402,65 @@ class TestBatchMajorEquivalence:
         stacked = evaluate(model, np.stack(images), labels)
         assert stacked[:2] == (loss, acc)
         assert np.array_equal(stacked[2], preds)
+
+
+class TestKeptPassMaps:
+    """fit keeps each training pass's maps for the next pass of the same size
+    and holds none of them once it returns."""
+
+    CONFIG = ModelConfig(q_order=2, input_shape=(1, 32, 40), block_filters=(4, 4),
+                         kernel_sizes=(5, 3), dense_units=8, classes=3)
+
+    def samples(self, n, seed):
+        r = np.random.default_rng(seed)
+        return list(r.random((n, *self.CONFIG.input_shape))), r.integers(0, 3, n)
+
+    # Batches of 4 run as 2+2 passes (one pass shape) or 3+1 (two shapes).
+    @pytest.mark.parametrize("per_pass,shared", [(2, True), (3, False)])
+    def test_equal_passes_share_maps(self, per_pass, shared, monkeypatch):
+        monkeypatch.setattr(training, "_PASS_PIXELS", per_pass * 32 * 40)
+        passes = []
+        backward = training.model_backward
+
+        def recording(model, cache, *args, **kwargs):
+            passes.append([a for block in cache.blocks for a in block])
+            return backward(model, cache, *args, **kwargs)
+
+        monkeypatch.setattr(training, "model_backward", recording)
+        x, y = self.samples(8, 80)
+        fit(build_model(self.CONFIG, 81), x, y, x[:3], y[:3],
+            TrainConfig(max_epochs=1, batch_size=4, seed=82))
+        assert len(passes) == 4 and len(passes[0]) == 2 * 3
+        for before, after in zip(passes, passes[1:]):
+            for a, b in zip(before, after, strict=True):
+                assert np.shares_memory(a, b) == shared
+
+    def test_nothing_outlives_fit(self):
+        x, y = self.samples(12, 83)
+        config = TrainConfig(max_epochs=2, batch_size=4, seed=84)
+
+        def run():
+            model = build_model(self.CONFIG, 85)
+            fit(model, x[:8], y[:8], x[8:], y[8:], config)
+            return model
+
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            first = run()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        first_eval = evaluate(first, x, y)
+        second = run()
+        assert first.flat.tobytes() == second.flat.tobytes()
+        second_eval = evaluate(second, x, y)
+        assert first_eval[:2] == second_eval[:2]
+        assert np.array_equal(first_eval[2], second_eval[2])
+        # Only the trained model remains: no pass map, such as one pass's
+        # block-0 power stack, is held once fit returns.
+        stack = 4 * 2 * 32 * 40 * 8
+        assert held < first.flat.nbytes + stack // 2
 
 
 THREAD_CONFIG = dict(q_order=3, input_shape=(1, 64, 80), block_filters=(4, 4, 4),
