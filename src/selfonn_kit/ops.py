@@ -197,8 +197,7 @@ def maxpool2x2(x: Tensor, out: Tensor | None = None) -> Tensor:
     return np.maximum(cols[..., 1::2, :], cols[..., 0::2, :], out=out)
 
 
-def maxpool2x2_backward(grad_out: Tensor, x: Tensor,
-                        out: Tensor | None = None) -> Tensor:
+def maxpool2x2_backward(grad_out: Tensor, x: Tensor, out: Tensor | None = None) -> Tensor:
     """Route the pooled gradient back through maxpool2x2 of the map `x`.
 
     `x` is a block's pre-activation (blocks pool before tanh). Each window's

@@ -10,7 +10,7 @@ Training batches and evaluation sets run as batch-major passes over
 [N, C, H, W], all cut, gathered and run by _forward_passes. Per-sample
 gradients and losses are still added in sample order, so every result is
 bitwise that of a loop over single samples. `fit` keeps each training
-pass's maps for the next pass and drops them when it returns.
+pass's maps for the next pass; it drops them to validate and on return.
 """
 
 from __future__ import annotations
@@ -236,6 +236,7 @@ def fit(model: Model, train_images, train_labels, val_images, val_labels,
                         f"non-finite loss or gradient at epoch {epoch}, batch {b}")
                 adam_step(model.flat, grads, adam, schedule.learning_rate)
                 train_total += batch_loss
+        maps.clear()  # validation passes reuse the memory, not fault in more
         val_loss, val_acc, _ = evaluate(model, val_images, val_labels)
         if not np.isfinite(val_loss):
             raise DivergenceError(f"non-finite validation loss at epoch {epoch}")
