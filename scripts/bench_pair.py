@@ -8,7 +8,7 @@ workload, alternating which tree goes first, then makes one `--trace 1`
 run per tree and workload. It writes, at the repository root:
 
 - the provenance line of the first run, and which commits were measured,
-  with each tree's count of `src/**/*.py` lines;
+  with each tree's count of `src/**/*.py` lines and of their lines of code;
 - for each workload and end-to-end metric of HEAD's BENCHMARK.json, both
   trees' median and quartiles, HEAD's pair wins, the median ratio and a
   verdict (see `verdict`);
@@ -26,6 +26,7 @@ Usage (from anywhere in the repository):
     python3 scripts/bench_pair.py HEAD~1 candidate
 """
 
+import ast
 import json
 import os
 import resource
@@ -59,13 +60,31 @@ def export(rev: str, into: Path) -> dict:
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
     return {"rev": rev, "commit": git("rev-parse", f"{rev}^{{commit}}"),
             "src_tree": git("rev-parse", f"{rev}:src"),
-            "src_lines": src_lines(into)}
+            "src_lines": src_lines(into),
+            "src_code_lines": src_code_lines(into)}
 
 
 def src_lines(tree: Path) -> int:
     """Lines of the Python sources under `tree`/src."""
     return sum(len(p.read_bytes().splitlines())
                for p in (tree / "src").rglob("*.py"))
+
+
+def src_code_lines(tree: Path) -> int:
+    """Lines of `tree`/src/**/*.py that are not blank, not comment-only and
+    not inside a module, class or function docstring."""
+    count = 0
+    for path in (tree / "src").rglob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        docs = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)) and ast.get_docstring(node) is not None:
+                docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        count += sum(1 for i, line in enumerate(text.splitlines(), 1)
+                     if i not in docs and line.strip()
+                     and not line.lstrip().startswith("#"))
+    return count
 
 
 def perfbench(tree: Path, workload: str, seed: int, trace: int) -> dict:

@@ -12,9 +12,10 @@ pure functions with hand-derived backward passes. No autograd graph.
 
 Convolutions and their adjoints run as GEMMs over im2col patch matrices
 built one band of output rows at a time for all samples at once, so they
-stay cache-sized; a call copies every band out of one window view into
-one patch buffer. Each band is a stacked ``np.matmul``, one BLAS call per
-sample, so every sample's result is bitwise what it would be on its own.
+stay cache-sized; both take their bands from one walker, ``_bands``, that
+copies them out of one window view into one patch buffer per call. Each
+band is a stacked ``np.matmul``, one BLAS call per sample, so every
+sample's result is bitwise what it would be on its own.
 The input adjoint is the forward convolution of the zero-padded output
 gradient with the flipped bank; the weight adjoint adds up its bands in
 order, with a band height set by the map width alone. An ``out=`` array
@@ -50,21 +51,26 @@ class DimensionError(ValueError):
     """Shapes handed to an operation do not fit together."""
 
 
-def _windows(x: Tensor, kh: int, kw: int) -> Tensor:
-    """(N, Cin, kh, kw, H', W') view of the kh x kw windows of an [N, Cin, H, W] map."""
+def _bands(x: Tensor, kh: int, kw: int, rows: int):
+    """Yield (c0, c1, patches) for each band of `rows` output rows of `x`.
+
+    `x` is a [..., Cin, H, W] map, kh x kw the window; c0:c1 are the band's
+    columns of the flat H'*W' output and `patches` its (N, Cin*kh*kw, c1-c0)
+    matrices, copied C-contiguous out of one `as_strided` window view into
+    one buffer that the next band overwrites.
+    """
+    x = x.reshape(-1, *x.shape[-3:])
     n, cin, h, w = x.shape
-    row, col = x.strides[-2:]
-    return as_strided(x, (n, cin, kh, kw, h - kh + 1, w - kw + 1),
-                      (*x.strides[:-2], row, col, row, col), writeable=False)
-
-
-def _patches(win: Tensor, r0: int, r1: int, buf: Tensor) -> Tensor:
-    """Patch matrices (N, Cin*kh*kw, (r1-r0)*W') of output rows r0:r1 of the
-    window view `win`, copied C-contiguous into the front of the flat `buf`."""
-    band = win[..., r0:r1, :]
-    cols = buf[:band.size].reshape(band.shape)
-    np.copyto(cols, band)
-    return cols.reshape(len(win), -1, band.shape[-2] * band.shape[-1])
+    hp, wp = h - kh + 1, w - kw + 1
+    win = as_strided(x, (n, cin, kh, kw, hp, wp), x.strides + x.strides[-2:],
+                     writeable=False)
+    buf = np.empty(n * cin * kh * kw * min(rows, hp) * wp)
+    for r0 in range(0, hp, rows):
+        band = win[..., r0:r0 + rows, :]
+        cols = buf[:band.size].reshape(band.shape)
+        np.copyto(cols, band)
+        c0, c1 = r0 * wp, (r0 + band.shape[-2]) * wp
+        yield c0, c1, cols.reshape(n, -1, c1 - c0)
 
 
 def _band_step(wp: int) -> int:
@@ -98,16 +104,12 @@ def conv2d_valid(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
     across samples, so a sample's output does not depend on its batch.
     """
     cout, cin, kh, kw = kernels.shape
-    win = _windows(x.reshape(-1, *x.shape[-3:]), kh, kw)
-    n, _, _, _, hp, wp = win.shape
-    kmat = kernels.reshape(cout, cin * kh * kw)
-    rows = min(_band_rows(n * kmat.shape[1], wp), hp)
+    hp, wp = x.shape[-2] - kh + 1, x.shape[-1] - kw + 1
     out = np.empty((*x.shape[:-3], cout, hp, wp)) if out is None else out
-    flat = out.reshape(n, cout, hp * wp)
-    buf = np.empty(n * kmat.shape[1] * rows * wp)
-    for r0 in range(0, hp, rows):
-        r1 = min(r0 + rows, hp)
-        np.matmul(kmat, _patches(win, r0, r1, buf), out=flat[:, :, r0 * wp:r1 * wp])
+    flat = out.reshape(-1, cout, hp * wp)
+    kmat = kernels.reshape(cout, cin * kh * kw)
+    for c0, c1, cols in _bands(x, kh, kw, _band_rows(len(flat) * kmat.shape[1], wp)):
+        np.matmul(kmat, cols, out=flat[:, :, c0:c1])
     if bias is not None:
         out += bias[:, None, None]
     return out
@@ -125,16 +127,11 @@ def conv2d_backward_weights(x: Tensor, grad_out: Tensor) -> Tensor:
     *lead, cin, h, w = x.shape
     cout, hp, wp = grad_out.shape[-3:]
     kh, kw = h - hp + 1, w - wp + 1
-    win = _windows(x.reshape(-1, cin, h, w), kh, kw)
     grads = grad_out.reshape(-1, cout, hp * wp)
-    rows = min(_band_step(wp), hp)
-    total = np.zeros((grads.shape[0], cout, cin * kh * kw))
+    total = np.zeros((len(grads), cout, cin * kh * kw))
     band = np.empty_like(total)
-    buf = np.empty(total.size // cout * rows * wp)
-    for r0 in range(0, hp, rows):
-        r1 = min(r0 + rows, hp)
-        np.matmul(grads[:, :, r0 * wp:r1 * wp],
-                  _patches(win, r0, r1, buf).swapaxes(-1, -2), out=band)
+    for c0, c1, cols in _bands(x, kh, kw, _band_step(wp)):
+        np.matmul(grads[:, :, c0:c1], cols.swapaxes(-1, -2), out=band)
         total += band
     return total.reshape(*lead, cout, cin, kh, kw)
 

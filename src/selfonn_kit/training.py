@@ -6,11 +6,11 @@ plateau schedule (LR_*) and early stopping (STOP_PATIENCE).
 The loop is single-threaded and fully deterministic for a given seed: the
 per-epoch shuffle comes from one seeded generator, and both callbacks see
 the validation loss in a fixed order (schedule first, then the stopper).
-Training batches and evaluation sets run as batch-major passes over
-[N, C, H, W], all cut, gathered and run by _forward_passes. Per-sample
-gradients and losses are still added in sample order, so every result is
-bitwise that of a loop over single samples. `fit` keeps each training
-pass's maps for the next pass; it drops them to validate and on return.
+Training batches and evaluation sets run through one pass loop, _passes,
+as batch-major passes over [N, C, H, W]. Per-sample gradients and losses
+are still added in sample order, so every result is bitwise that of a loop
+over single samples. `fit` keeps each training pass's maps for the next
+pass; it drops them to validate and on return.
 """
 
 from __future__ import annotations
@@ -160,19 +160,29 @@ def _check_set(images, labels, name: str) -> None:
         raise ValueError(f"the {name} set is empty")
 
 
-def _forward_passes(model: Model, images, order: np.ndarray, maps=None):
-    """Yield (part, logits, cache) for the images at `order`, a pass at a time.
+def _passes(model: Model, images, labels: np.ndarray, order: np.ndarray,
+            maps=None, grads=None) -> tuple[float, np.ndarray]:
+    """Summed loss and argmax predictions of the images at `order`.
 
-    A pass holds _PASS_PIXELS input pixels (at least one image). Given
-    `maps`, they are training passes keeping their maps there (see
-    model_forward). The stacked input is dropped when the forward returns;
-    the cache keeps only what the backward needs.
+    Passes of _PASS_PIXELS input pixels (at least one image) are gathered,
+    run and scored, their losses added in sample order. Given `grads`, they
+    are training passes: each keeps its maps in `maps` (see model_forward)
+    and backpropagates, adding its per-sample gradients to `grads`.
     """
     step = max(1, _PASS_PIXELS // int(np.prod(model.config.input_shape)))
+    total = 0.0
+    preds = np.empty(len(order), dtype=np.int64)
     for lo in range(0, len(order), step):
         part = order[lo:lo + step]
-        yield (part, *model_forward(model, np.stack([images[i] for i in part]),
-                                    train_mode=maps is not None, maps=maps))
+        logits, cache = model_forward(model, np.stack([images[i] for i in part]),
+                                      train_mode=grads is not None, maps=maps)
+        losses, grad_logits = ops.cross_entropy_with_softmax(logits, labels[part])
+        if grads is not None:
+            model_backward(model, cache, grad_logits, input_grad=False,
+                           grads=grads, maps=maps)
+        total = add_in_order(total, losses)
+        preds[lo:lo + step] = np.argmax(logits, axis=-1)
+    return total, preds
 
 
 def evaluate(model: Model, images: list[Tensor] | np.ndarray,
@@ -180,15 +190,9 @@ def evaluate(model: Model, images: list[Tensor] | np.ndarray,
     """Mean loss, accuracy, and per-sample argmax predictions."""
     _check_set(images, labels, "evaluation")
     labels = np.asarray(labels)
-    total = 0.0
-    preds = np.empty(len(labels), dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore"):
-        for part, logits, _ in _forward_passes(model, images, np.arange(len(labels))):
-            losses, _ = ops.cross_entropy_with_softmax(logits, labels[part])
-            total = add_in_order(total, losses)
-            preds[part] = np.argmax(logits, axis=-1)
-    accuracy = float(np.mean(preds == labels))
-    return total / len(labels), accuracy, preds
+        total, preds = _passes(model, images, labels, np.arange(len(labels)))
+    return total / len(labels), float(np.mean(preds == labels)), preds
 
 
 def fit(model: Model, train_images, train_labels, val_images, val_labels,
@@ -212,24 +216,17 @@ def fit(model: Model, train_images, train_labels, val_images, val_labels,
     schedule = LrSchedule(learning_rate=config.learning_rate)
     stopper = EarlyStopper()
     history: list[EpochRecord] = []
-    n_batches = (len(train_images) + config.batch_size - 1) // config.batch_size
     maps: dict = {}  # training-pass maps kept from pass to pass
     for epoch in range(config.max_epochs):
         order = rng.permutation(len(train_images))
         train_total = 0.0
         # overflow need not warn: the finiteness checks catch divergence
         with np.errstate(over="ignore", invalid="ignore"):
-            for b in range(n_batches):
-                batch = order[b * config.batch_size:(b + 1) * config.batch_size]
+            for b, lo in enumerate(range(0, len(order), config.batch_size)):
+                batch = order[lo:lo + config.batch_size]
                 grads = np.zeros_like(model.flat)
-                batch_loss = 0.0
-                for part, logits, cache in _forward_passes(model, train_images, batch,
-                                                           maps):
-                    losses, grad_logits = ops.cross_entropy_with_softmax(
-                        logits, train_labels[part])
-                    model_backward(model, cache, grad_logits, input_grad=False,
-                                   grads=grads, maps=maps)
-                    batch_loss = add_in_order(batch_loss, losses)
+                batch_loss, _ = _passes(model, train_images, train_labels, batch,
+                                        maps, grads)
                 grads /= len(batch)
                 if not np.isfinite(batch_loss) or not np.all(np.isfinite(grads)):
                     raise DivergenceError(

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "selfonn_kit").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "selfonn_kit").glob("*.py")) \
+    + sorted((ROOT / "scripts").glob("*.py"))
 
 
 def implicit_text_io(tree: ast.AST) -> list[int]:

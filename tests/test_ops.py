@@ -121,6 +121,26 @@ class TestConvBackward:
         assert np.isclose(lhs, mid, rtol=1e-12)
 
 
+class TestBandWalker:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.integers(1, 4),
+           st.integers(0, 8), st.integers(0, 8), st.integers(1, 12),
+           st.integers(0, 2 ** 31 - 1))
+    def test_bands_tile_the_whole_patch_matrix(self, n, cin, kh, kw, eh, ew, rows,
+                                               seed):
+        # rows reaches past H' = eh + 1, and most draws do not divide it.
+        x = rng(seed).standard_normal((n, cin, kh + eh, kw + ew))
+        hp, wp = eh + 1, ew + 1
+        # copy each band: the walker overwrites one buffer band after band
+        bands = [(c0, c1, p.copy()) for c0, c1, p in ops._bands(x, kh, kw, rows)]
+        ends = [*range(0, hp * wp, rows * wp), hp * wp]
+        assert [(c0, c1) for c0, c1, _ in bands] == list(zip(ends[:-1], ends[1:]))
+        whole = sliding_window_view(x, (kh, kw), axis=(-2, -1))  # N, Cin, H', W', kh, kw
+        whole = whole.transpose(0, 1, 4, 5, 2, 3).reshape(n, cin * kh * kw, hp * wp)
+        got = np.concatenate([p for _, _, p in bands], axis=-1)
+        assert got.flags.c_contiguous and np.array_equal(got, whole)
+
+
 class TestElementwisePow:
     """The power-stack oracle in reference.py that test_model compares against."""
 

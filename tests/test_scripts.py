@@ -80,6 +80,29 @@ def test_bench_pair_src_lines(tmp_path):
     assert load_bench_pair().src_lines(tmp_path) == 5
 
 
+def test_bench_pair_src_code_lines(tmp_path):
+    pkg = tmp_path / "src" / "pkg"
+    (pkg / "sub").mkdir(parents=True)
+    (pkg / "a.py").write_text(
+        '"""Module docstring\n\nover three lines."""\n'
+        "# a comment\n"
+        "\n"
+        "x = 1  # code with a trailing comment\n"
+        "def f():\n"
+        '    """One-line docstring."""\n'
+        "    return 1\n"
+        "class C:\n"
+        '    """Class\n    docstring."""\n'
+        "    y = 2\n"
+        '    "a later string is code"\n', encoding="utf-8")
+    (pkg / "sub" / "b.py").write_text("    # indented comment\nz = 3", encoding="utf-8")
+    (pkg / "notes.txt").write_text("not\ncounted\n", encoding="utf-8")
+    (tmp_path / "top.py").write_text("outside = True\n", encoding="utf-8")
+    bench_pair = load_bench_pair()
+    assert bench_pair.src_code_lines(tmp_path) == 7
+    assert bench_pair.src_lines(tmp_path) == 16
+
+
 def test_bench_pair_same_bytes(tmp_path):
     same_bytes = load_bench_pair().same_bytes
     a, b = tmp_path / "a", tmp_path / "b"
