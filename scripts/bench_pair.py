@@ -12,8 +12,11 @@ run per tree and workload. It writes, at the repository root:
 - for each workload and end-to-end metric of HEAD's BENCHMARK.json, both
   trees' median and quartiles, HEAD's pair wins, the median ratio and a
   verdict (see `verdict`);
-- each tree's failed and attempted operations, and from the traced runs
-  the per-layer self seconds and `trace.absent_functions`;
+- each tree's failed and attempted operations, the spread of the host
+  slowdown that its untraced runs measured on perfbench's seed copy (set-up,
+  A and B; the seed copy imports the package's `cli`, so a change to the
+  package can move it), and from the traced runs the per-layer self seconds
+  and `trace.absent_functions`;
 - a desk `crossval`: REV's tree synthesizes criterion 6's corpus once
   (SYNTH), then each tree runs CROSSVAL on it CROSSVAL_RUNS times,
   alternating which tree goes first, each run into a fresh `--out` and
@@ -45,6 +48,7 @@ SYNTH = "synth --per-class 300 --height 128 --width 160 --seed 11"
 CROSSVAL = ("crossval --half --q 2 --filters 4,4,4 --kernels 5,3,2 "
             "--dense 16 --epochs 3")
 CROSSVAL_RUNS = 3
+SLOWDOWN = "host slowdown against the calibration host, from the seed copy: "
 
 
 def git(*args: str) -> str:
@@ -88,7 +92,9 @@ def src_code_lines(tree: Path) -> int:
 
 
 def perfbench(tree: Path, workload: str, seed: int, trace: int) -> dict:
-    """One run of the tree's own perfbench: its provenance and its result."""
+    """One run of the tree's own perfbench: its provenance, the seed copy's
+    host slowdown (None when the run prints none, as traced runs do) and its
+    result."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace)],
@@ -99,7 +105,19 @@ def perfbench(tree: Path, workload: str, seed: int, trace: int) -> dict:
                  f"(exit {proc.returncode})\n{proc.stderr}")
     provenance = next(json.loads(line.split(" ", 1)[1]) for line in lines
                       if line.startswith("provenance "))
-    return {"provenance": provenance, **json.loads(lines[-1])}
+    return {"provenance": provenance, "slowdown": host_slowdown(lines),
+            **json.loads(lines[-1])}
+
+
+def host_slowdown(lines: list[str]) -> dict | None:
+    """The seed copy's host slowdown in a perfbench run's output lines:
+    "...from the seed copy: setup 1.02, A 0.98, B 1.1" gives {"setup": 1.02,
+    "A": 0.98, "B": 1.1}; None when no line states it."""
+    for line in map(str.strip, lines):
+        if line.startswith(SLOWDOWN):
+            return {name: float(value) for name, value in
+                    (part.split(" ") for part in line[len(SLOWDOWN):].split(", "))}
+    return None
 
 
 def child_faults() -> int:
@@ -188,8 +206,8 @@ def verdict(head: list[float], rev: list[float], wins: int, bound: float,
 def summarize(runs: dict, traced: dict, end_to_end: list[dict]) -> dict:
     """Per workload: both trees' spreads, HEAD's pair wins, and the traces.
 
-    `runs[tree][workload]` lists one perfbench result per seed, in seed
-    order, so entry i of "head" and of "rev" form pair i; `traced[tree]
+    `runs[tree][workload]` lists one untraced perfbench result per seed, in
+    seed order, so entry i of "head" and of "rev" form pair i; `traced[tree]
     [workload]` is one traced result. `end_to_end` holds BENCHMARK.json's
     metric entries (name, better, bound).
     """
@@ -213,6 +231,9 @@ def summarize(runs: dict, traced: dict, end_to_end: list[dict]) -> dict:
             out[workload][tree] = {
                 "failed": sum(r["failed"] for r in runs[tree][workload]),
                 "attempted": sum(r["attempted"] for r in runs[tree][workload]),
+                "host_slowdown": {k: spread([r["slowdown"][k]
+                                             for r in runs[tree][workload]])
+                                  for k in runs[tree][workload][0]["slowdown"]},
                 "absent_functions": trace["trace.absent_functions"]["value"],
                 "self_s": {k[:-len(".self_s")]: v["value"]
                            for k, v in trace.items() if k.endswith(".self_s")}}

@@ -27,7 +27,7 @@ import configparser
 import logging
 import os
 import sys
-from dataclasses import field, make_dataclass, replace
+from dataclasses import astuple, field, fields, make_dataclass, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -42,7 +42,8 @@ from .metrics import (ConfusionMatrix, MetricReport, bench_inference,
                       confusion, format_confusion, format_metric_table,
                       metric_report)
 from .synth import SynthConfig, pixel_to_temperature, synth_generate
-from .training import DivergenceError, FitResult, TrainConfig, evaluate, fit
+from .training import (DivergenceError, EpochRecord, FitResult, TrainConfig,
+                       evaluate, fit)
 
 log = logging.getLogger("selfonn_kit")
 
@@ -112,8 +113,7 @@ def train_fold(config: ModelConfig, dataset: Dataset, split: CvSplit,
                 f"test_loss {_fmt(test_loss)}", "",
                 format_confusion(report.matrix, CLASS_NAMES), "",
                 format_metric_table(report, CLASS_NAMES)]
-        Path(f"{stem}_report.txt").write_text("\n".join(body) + "\n",
-                                              encoding="utf-8")
+        _write_text(f"{stem}_report.txt", body)
     return result, report
 
 
@@ -335,9 +335,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fmt(x: float) -> str:
-    """Repr-stable float formatting for deterministic artifacts."""
-    return format(float(x), ".17g")
+def _fmt(x) -> str:
+    """Repr-stable formatting for deterministic artifacts: an integer or
+    bool as its digits, anything else as a float to 17 significant digits."""
+    return f"{x:d}" if isinstance(x, int) else format(float(x), ".17g")
+
+
+def _write_text(path, lines) -> str:
+    """Write `lines` as newline-terminated UTF-8 text; return the text."""
+    text = "\n".join(lines) + "\n"
+    Path(path).write_text(text, encoding="utf-8")
+    return text
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -377,13 +385,9 @@ def fold_summary_table(plan, labels) -> str:
 
 
 def write_epoch_log(history, path) -> None:
-    """Tab-separated epoch trace; no wall-clock fields, so reruns match."""
-    lines = ["epoch\ttrain_loss\tval_loss\tval_accuracy\tlearning_rate\tlr_reduced"]
-    for r in history:
-        lines.append(f"{r.epoch}\t{_fmt(r.train_loss)}\t{_fmt(r.val_loss)}\t"
-                     f"{_fmt(r.val_accuracy)}\t{_fmt(r.learning_rate)}\t"
-                     f"{int(r.lr_reduced)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Tab-separated epoch trace, one column per EpochRecord field."""
+    _write_text(path, ["\t".join(f.name for f in fields(EpochRecord)),
+                       *("\t".join(map(_fmt, astuple(r))) for r in history)])
 
 
 def cmd_synth(cfg: RunConfig) -> int:
@@ -409,8 +413,7 @@ def cmd_synth(cfg: RunConfig) -> int:
         means, stds, lo, hi = zip(*stats[name])
         lines.append(f"{name:<14}  {len(means):>5}  {np.mean(means):>8.2f}  "
                      f"{np.mean(stds):>8.2f}  {min(lo):>8.2f}  {max(hi):>8.2f}")
-    report = "\n".join(lines) + "\n"
-    (out / "synth_report.txt").write_text(report, encoding="utf-8")
+    report = _write_text(out / "synth_report.txt", lines)
     print(f"manifest: {manifest}")
     print(report, end="")
     return EXIT_OK
@@ -423,9 +426,8 @@ def cmd_split(cfg: RunConfig) -> int:
     plan = stratified_ordered_kfold(labels, cfg.k)
     out = _out_dir(cfg)
     write_fold_plan(plan, out / "fold_plan.json")
-    table = fold_summary_table(plan, labels)
-    (out / "fold_summary.txt").write_text(table + "\n", encoding="utf-8")
-    print(table)
+    print(_write_text(out / "fold_summary.txt", [fold_summary_table(plan, labels)]),
+          end="")
     return EXIT_OK
 
 
@@ -479,9 +481,7 @@ def cmd_crossval(cfg: RunConfig) -> int:
              f"pooled_accuracy {_fmt(pooled.accuracy)}", "",
              "pooled confusion:",
              format_confusion(pooled.matrix, CLASS_NAMES)]
-    text = "\n".join(lines) + "\n"
-    (out / f"q{cfg.q_order}_aggregate.txt").write_text(text, encoding="utf-8")
-    print(text, end="")
+    print(_write_text(out / f"q{cfg.q_order}_aggregate.txt", lines), end="")
     return EXIT_OK
 
 
@@ -545,6 +545,19 @@ COMMANDS = {
     "bench": cmd_bench,
 }
 
+# What main prints on stderr and returns for each failure, matched in row
+# order: a row's class must come before any base class of it.
+FAILURES = (
+    (UsageError, "usage error", EXIT_USAGE),
+    (ConfigError, "configuration error", EXIT_USAGE),
+    (DivergenceError, "training diverged", EXIT_DIVERGED),
+    (WeightFileError, "weight file error", EXIT_WEIGHTS),
+    (ManifestError, "data error", EXIT_DATA),
+    (PgmError, "data error", EXIT_DATA),
+    (OSError, "i/o error", EXIT_IO),
+    (ValueError, "error", EXIT_DATA),
+)
+
 _LOG_LEVELS = {"debug": logging.DEBUG, "info": logging.INFO,
                "warning": logging.WARNING, "quiet": logging.ERROR}
 
@@ -565,27 +578,11 @@ def main(argv=None) -> int:
             return EXIT_USAGE
         cfg = build_run_config(args)
         return COMMANDS[args.command](cfg)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DivergenceError as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except WeightFileError as exc:
-        print(f"weight file error: {exc}", file=sys.stderr)
-        return EXIT_WEIGHTS
-    except (ManifestError, PgmError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    except tuple(kind for kind, _, _ in FAILURES) as exc:
+        label, code = next((label, code) for kind, label, code in FAILURES
+                           if isinstance(exc, kind))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 def entry() -> None:

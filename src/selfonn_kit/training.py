@@ -129,6 +129,11 @@ class EarlyStopper:
 
 @dataclass
 class EpochRecord:
+    """One epoch of `fit`. Its fields, in order, are the columns of the
+    epoch log that `cli.write_epoch_log` writes. Criterion 8 checks that
+    two same-seed runs write the same log bytes, which is what keeps a
+    wall-clock field (ROADMAP item 6) out of this record."""
+
     epoch: int
     train_loss: float
     val_loss: float

@@ -8,7 +8,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,10 +16,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from selfonn_kit import cli
-from selfonn_kit.data import load_dataset, make_cv_splits, stratified_ordered_kfold
+from selfonn_kit.data import (ManifestError, PgmError, load_dataset,
+                              make_cv_splits, stratified_ordered_kfold)
 from selfonn_kit.metrics import ConfusionMatrix, metric_report
-from selfonn_kit.model import ModelConfig, build_model, load_weights, save_weights
-from selfonn_kit.training import TrainConfig, evaluate, fit
+from selfonn_kit.model import (ConfigError, ConsistencyError, ModelConfig,
+                               WeightFileError, build_model, load_weights,
+                               save_weights)
+from selfonn_kit.ops import DimensionError
+from selfonn_kit.training import (DivergenceError, EpochRecord, TrainConfig,
+                                  evaluate, fit)
 
 TINY_MODEL = ["--filters", "2", "--kernels", "3", "--dense", "4"]
 
@@ -54,6 +59,25 @@ HELP_FLAGS["bench"] = HELP_FLAGS["params"]
 
 def run(argv):
     return cli.main([str(a) for a in argv])
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+     1.7976931348623157e308, -1.7976931348623157e308])
+
+# What main prints and returns when a command raises each kind of failure:
+# the exception class, the stderr label and the exit code.
+FAILURE_ROWS = [
+    (cli.UsageError, "usage error", 1),
+    (ConfigError, "configuration error", 1),
+    (DivergenceError, "training diverged", 3),
+    (WeightFileError, "weight file error", 4),
+    (ManifestError, "data error", 2),
+    (PgmError, "data error", 2),
+    (FileNotFoundError, "i/o error", 5),
+    (ValueError, "error", 2),
+    (DimensionError, "error", 2),
+]
 
 
 class TestSeedStreams:
@@ -318,6 +342,27 @@ class TestExitCodes:
         assert (capsys.readouterr().err
                 == "error: need at least 31 samples, got 30\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind,label,code", FAILURE_ROWS,
+                             ids=[kind.__name__ for kind, _, _ in FAILURE_ROWS])
+    def test_failure_label_and_code(self, kind, label, code, monkeypatch,
+                                    capsys):
+        def fail(cfg):
+            raise kind("what went wrong")
+
+        monkeypatch.setitem(cli.COMMANDS, "params", fail)
+        assert run(["params"]) == code
+        captured = capsys.readouterr()
+        assert captured.err == f"{label}: what went wrong\n"
+        assert captured.out == ""
+
+    def test_failure_outside_the_rows_propagates(self, monkeypatch):
+        def fail(cfg):
+            raise ConsistencyError("forward cache does not match this model")
+
+        monkeypatch.setitem(cli.COMMANDS, "params", fail)
+        with pytest.raises(ConsistencyError, match="forward cache"):
+            run(["params"])
 
     # 1.7e308: Adam's first step moves every weight by about lr, so the
     # forward overflows; numpy's overflow warnings must not end the run
@@ -614,6 +659,30 @@ class TestTrainEvalPipeline:
                                       "val_accuracy", "learning_rate",
                                       "lr_reduced"]
         assert len(log) == 3
+
+    # Finite doubles, subnormals, -0.0 and +-DBL_MAX among them, come back
+    # bit for bit; the epoch and lr_reduced as the digits of int(value).
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.builds(
+        EpochRecord, epoch=st.integers(0, 10**6), train_loss=FINITE,
+        val_loss=FINITE, val_accuracy=FINITE, learning_rate=FINITE,
+        lr_reduced=st.booleans()), max_size=5))
+    def test_epoch_log_round_trip(self, history):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "epochs.tsv"
+            cli.write_epoch_log(history, path)
+            text = path.read_bytes().decode("utf-8")
+        header, *rows = [line.split("\t") for line in text.split("\n")[:-1]]
+        assert text.endswith("\n") and len(rows) == len(history)
+        assert header == [f.name for f in fields(EpochRecord)]
+        for record, row in zip(history, rows):
+            values = [getattr(record, name) for name in header]
+            assert len(row) == len(values)
+            for cell, value in zip(row, values):
+                if isinstance(value, float):
+                    assert float(cell).hex() == value.hex()
+                else:
+                    assert cell == str(int(value))
 
     def test_fold_selector(self, corpus, tmp_path):
         out = tmp_path / "runs"

@@ -44,3 +44,30 @@ def test_rule_flags_implicit_text_io():
 def test_text_io_names_its_encoding(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert implicit_text_io(tree) == [], f"{path.name}: pass encoding="
+
+
+def writes_outside(tree: ast.AST, writer: str) -> list[int]:
+    """Lines of `write_text(...)` / `write_bytes(...)` calls that are not
+    inside the function named `writer`."""
+    inside = {id(node) for func in ast.walk(tree)
+              if isinstance(func, ast.FunctionDef) and func.name == writer
+              for node in ast.walk(func)}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in inside
+            and getattr(node.func, "attr", getattr(node.func, "id", ""))
+            in ("write_text", "write_bytes")]
+
+
+def test_rule_flags_writes_outside_the_writer():
+    tree = ast.parse("def _write_text(p, s):\n    p.write_text(s)\n"
+                     "def other(p):\n    p.write_bytes(b'')\n"
+                     "write_text(p)\np.read_text()\n")
+    assert sorted(writes_outside(tree, "_write_text")) == [4, 5]
+
+
+# Every text artifact of the driver goes through one writer, so how files
+# are written (say, to a temporary name and then renamed) is set in one place.
+def test_cli_writes_only_in_its_writer():
+    path = ROOT / "src" / "selfonn_kit" / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert writes_outside(tree, "_write_text") == [], "write through _write_text"

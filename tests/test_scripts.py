@@ -123,6 +123,7 @@ def test_bench_pair_summary():
 
     def record(rate, ms, failed=0):
         return {"failed": failed, "attempted": 100,
+                "slowdown": {"setup": ms / 4, "A": rate / 10, "B": 1.0},
                 "metrics": {"a_items_per_s": {"value": rate, "unit": "1/s"},
                             "a_ms_p50": {"value": ms, "unit": "ms"}}}
 
@@ -154,10 +155,15 @@ def test_bench_pair_summary():
     ms = out["desk_train"]["end_to_end"]["a_ms_p50"]
     assert ms["head_wins"] == 2 and ms["head"]["median"] == 4.0
     assert ms["verdict"] == "unresolved"  # spread 1 > 0.15 * 5, run 6.0 loses
-    assert out["corpus_io"]["head"] == {"failed": 1, "attempted": 300,
-                                        "absent_functions": 0,
-                                        "self_s": {"ops.tanh_forward": 0.5}}
+    assert out["corpus_io"]["head"] == {
+        "failed": 1, "attempted": 300,
+        "host_slowdown": {
+            "setup": {"median": 1.0, "q1": 0.75, "q3": 1.25, "runs": [1.0, 1.5, 0.5]},
+            "A": {"median": 1.0, "q1": 0.9, "q3": 1.1, "runs": [1.0, 0.8, 1.2]},
+            "B": {"median": 1.0, "q1": 1.0, "q3": 1.0, "runs": [1.0] * 3}},
+        "absent_functions": 0, "self_s": {"ops.tanh_forward": 0.5}}
     assert out["corpus_io"]["rev"]["self_s"] == {"ops.tanh_forward": 0.25}
+    assert out["corpus_io"]["rev"]["host_slowdown"]["A"]["runs"] == [0.9, 0.9, 1.1]
 
     # Ten pairs; a bound of 0.15 allows 15 around a parent median of 100.
     steady = [100.0, 101.0, 99.0, 100.0, 102.0, 98.0, 100.0, 101.0, 99.0, 100.0]
@@ -175,6 +181,28 @@ def test_bench_pair_summary():
     for head, rev, sign, want in cases:
         wins = sum(sign * (h - r) > 0 for h, r in zip(head, rev))
         assert bench_pair.verdict(head, rev, wins, 0.15, sign) == want, (head, rev)
+
+
+def test_bench_pair_perfbench_keeps_host_slowdown(tmp_path):
+    # A stand-in perfbench that prints what an untraced run prints around
+    # its result, and no slowdown when traced.
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json, sys\n"
+        "print('provenance ' + json.dumps({'argv': sys.argv[1:]}))\n"
+        "print('desk_train: A = one fit epoch')\n"
+        "if sys.argv[-1] == '0':\n"
+        "    print('  host slowdown against the calibration host, from the seed copy: '\n"
+        "          'setup 1.02, A 0.3412, B 1.1e+01')\n"
+        "    print('  unscaled package medians: setup_s 1.5 s')\n"
+        "print(json.dumps({'failed': 0, 'attempted': 3, 'metrics': {}}))\n",
+        encoding="utf-8")
+    perfbench = load_bench_pair().perfbench
+    run = perfbench(tmp_path, "desk_train", 4, trace=0)
+    assert run["slowdown"] == {"setup": 1.02, "A": 0.3412, "B": 11.0}
+    assert run["provenance"]["argv"][:4] == ["--workload", "desk_train", "--seed", "4"]
+    assert run["attempted"] == 3 and run["metrics"] == {}
+    assert perfbench(tmp_path, "desk_train", 4, trace=1)["slowdown"] is None
 
 
 def test_bench_pair_selfonn_counts_child_faults(tmp_path):
