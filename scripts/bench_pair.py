@@ -2,28 +2,29 @@
 
 Exports HEAD and REV with `git archive` into fresh temporary trees (runs
 from a working checkout read a few percent slower than the same files run
-from a fresh export). On each of SEEDS it runs each tree's own
-`perfbench/run.py --workload W --seed S --seconds 10 --trace 0` for every
-workload, alternating which tree goes first, then makes one `--trace 1`
-run per tree and workload. It writes, at the repository root:
+from a fresh export). REV's tree synthesizes a corpus of criterion 6's
+size once (SYNTH). Then, on each of SEEDS, each tree runs every job of JOBS
+once: its own `perfbench/run.py --workload W --seed S --seconds 10 --trace
+0` for every workload, and a desk CROSSVAL on the corpus into a fresh
+`--out`, timed by wall clock. Which tree goes first alternates from job to
+job and, for each job, from seed to seed. Last, each tree makes one
+`--trace 1` run per workload. It writes, at the repository root:
 
 - the provenance line of the first run, and which commits were measured,
   with each tree's count of `src/**/*.py` lines and of their lines of code;
 - for each workload and end-to-end metric of HEAD's BENCHMARK.json, both
   trees' median and quartiles, HEAD's pair wins, the median ratio and a
-  verdict (see `verdict`);
+  verdict (see `compare`);
 - each tree's failed and attempted operations, the spread of the host
   slowdown that its untraced runs measured on perfbench's seed copy (set-up,
   A and B; the seed copy imports the package's `cli`, so a change to the
   package can move it), and from the traced runs the per-layer self seconds
   and `trace.absent_functions`;
-- a desk `crossval`: REV's tree synthesizes criterion 6's corpus once
-  (SYNTH), then each tree runs CROSSVAL on it CROSSVAL_RUNS times,
-  alternating which tree goes first, each run into a fresh `--out` and
-  timed by wall clock. The entry holds both commands, each tree's spread
-  of seconds and its minor page faults per run, the OPENBLAS_NUM_THREADS
-  in force, and whether the first HEAD run and the first REV run wrote the
-  same files and stdout, byte for byte.
+- the desk `crossval`: both commands, the same comparison of its seconds
+  (lower is better, bound CROSSVAL_BOUND), each tree's minor page faults
+  per run, the OPENBLAS_NUM_THREADS in force, and whether every run of
+  both trees wrote the same files and stdout as HEAD's first run, byte for
+  byte.
 
 Usage (from anywhere in the repository):
     python3 scripts/bench_pair.py HEAD~1 candidate
@@ -47,7 +48,8 @@ SECONDS = 10
 SYNTH = "synth --per-class 300 --height 128 --width 160 --seed 11"
 CROSSVAL = ("crossval --half --q 2 --filters 4,4,4 --kernels 5,3,2 "
             "--dense 16 --epochs 3")
-CROSSVAL_RUNS = 3
+CROSSVAL_BOUND = 0.15
+JOBS = (*WORKLOADS, "crossval")
 SLOWDOWN = "host slowdown against the calibration host, from the seed copy: "
 
 
@@ -148,30 +150,46 @@ def same_bytes(a: Path, b: Path) -> bool:
         (a / n).read_bytes() == (b / n).read_bytes() for n in names[0])
 
 
-def time_crossval(trees: dict, tmp: Path) -> dict:
-    """Wall seconds and minor page faults of CROSSVAL per tree on one
-    corpus SYNTH wrote."""
+def run_crossval(tree: Path, corpus: Path, out: Path) -> dict:
+    """One CROSSVAL run of `tree` on `corpus` into `out`: its wall seconds,
+    minor page faults, stdout and output directory."""
+    seconds, faults, stdout = selfonn(tree, CROSSVAL, "--manifest",
+                                      str(corpus / "manifest.tsv"), "--out", str(out))
+    return {"seconds": seconds, "minor_faults": faults, "stdout": stdout, "out": out}
+
+
+def paired_runs(trees: dict, tmp: Path) -> dict:
+    """Every untraced run, as `runs[tree][job]` in seed order, so entry i
+    of "head" and of "rev" form pair i (see the module docstring)."""
     corpus = tmp / "corpus"
     selfonn(trees["rev"], SYNTH, "--out", str(corpus))
-    seconds = {tree: [] for tree in trees}
-    faults = {tree: [] for tree in trees}
-    stdout = {}
-    for turn in range(CROSSVAL_RUNS):
-        for tree in ("head", "rev")[::-1 if turn % 2 else 1]:
-            out = tmp / f"cv_{tree}{turn}"
-            took, faulted, stdout[tree, turn] = selfonn(
-                trees[tree], CROSSVAL, "--manifest",
-                str(corpus / "manifest.tsv"), "--out", str(out))
-            seconds[tree].append(took)
-            faults[tree].append(faulted)
+    runs = {tree: {job: [] for job in JOBS} for tree in trees}
+    for i, seed in enumerate(SEEDS):
+        for j, job in enumerate(JOBS):
+            for tree in ("head", "rev")[::-1 if (i + j) % 2 else 1]:
+                print(f"seed {seed} {job} {tree}", flush=True)
+                runs[tree][job].append(
+                    run_crossval(trees[tree], corpus, tmp / f"cv_{tree}{seed}")
+                    if job == "crossval" else
+                    perfbench(trees[tree], job, seed, trace=0))
+    return runs
+
+
+def crossval_entry(runs: dict) -> dict:
+    """The desk `crossval` entry of the crossval runs in `runs`."""
+    cv = {tree: runs[tree]["crossval"] for tree in runs}
+    seconds = {tree: [r["seconds"] for r in cv[tree]] for tree in cv}
+    first = cv["head"][0]
     return {"synth": SYNTH, "command": CROSSVAL,
             "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS",
                                                    "unset"),
-            **{tree: {**spread(seconds[tree]), "minor_faults": faults[tree]}
-               for tree in trees},
-            "artifacts_identical": (
-                same_bytes(tmp / "cv_head0", tmp / "cv_rev0")
-                and stdout["head", 0] == stdout["rev", 0])}
+            "seconds": compare(seconds["head"], seconds["rev"], "lower",
+                               CROSSVAL_BOUND),
+            "minor_faults": {tree: [r["minor_faults"] for r in cv[tree]]
+                             for tree in cv},
+            "artifacts_identical": all(
+                r["stdout"] == first["stdout"] and same_bytes(first["out"], r["out"])
+                for tree in cv for r in cv[tree])}
 
 
 def spread(values: list[float]) -> dict:
@@ -203,11 +221,24 @@ def verdict(head: list[float], rev: list[float], wins: int, bound: float,
     return "unchanged"
 
 
+def compare(head: list[float], rev: list[float], better: str,
+            bound: float) -> dict:
+    """One metric of both trees, pair i being (head[i], rev[i]): their
+    spreads, HEAD's pair wins, the median ratio and the verdict."""
+    sign = 1 if better == "higher" else -1
+    wins = sum(sign * (h - r) > 0 for h, r in zip(head, rev))
+    return {"better": better, "bound": bound,
+            "head": spread(head), "rev": spread(rev),
+            "head_wins": wins, "pairs": len(head),
+            "median_ratio": statistics.median(head) / statistics.median(rev),
+            "verdict": verdict(head, rev, wins, bound, sign)}
+
+
 def summarize(runs: dict, traced: dict, end_to_end: list[dict]) -> dict:
     """Per workload: both trees' spreads, HEAD's pair wins, and the traces.
 
     `runs[tree][workload]` lists one untraced perfbench result per seed, in
-    seed order, so entry i of "head" and of "rev" form pair i; `traced[tree]
+    seed order, as `paired_runs` returns them; `traced[tree]
     [workload]` is one traced result. `end_to_end` holds BENCHMARK.json's
     metric entries (name, better, bound).
     """
@@ -217,14 +248,7 @@ def summarize(runs: dict, traced: dict, end_to_end: list[dict]) -> dict:
         for m in end_to_end:
             head, rev = ([r["metrics"][m["name"]]["value"]
                           for r in runs[tree][workload]] for tree in ("head", "rev"))
-            sign = 1 if m["better"] == "higher" else -1
-            wins = sum(sign * (h - r) > 0 for h, r in zip(head, rev))
-            metrics[m["name"]] = {
-                "better": m["better"], "bound": m["bound"],
-                "head": spread(head), "rev": spread(rev),
-                "head_wins": wins, "pairs": len(head),
-                "median_ratio": statistics.median(head) / statistics.median(rev),
-                "verdict": verdict(head, rev, wins, m["bound"], sign)}
+            metrics[m["name"]] = compare(head, rev, m["better"], m["bound"])
         out[workload] = {"end_to_end": metrics}
         for tree in ("head", "rev"):
             trace = traced[tree][workload]["metrics"]
@@ -248,17 +272,10 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
         trees = {"head": Path(tmp) / "head", "rev": Path(tmp) / "rev"}
         ids = {"head": export("HEAD", trees["head"]), "rev": export(rev, trees["rev"])}
-        runs = {tree: {w: [] for w in WORKLOADS} for tree in trees}
-        pairs = [(seed, workload) for seed in SEEDS for workload in WORKLOADS]
-        for turn, (seed, workload) in enumerate(pairs):
-            for tree in ("head", "rev")[::-1 if turn % 2 else 1]:
-                print(f"seed {seed} {workload} {tree}", flush=True)
-                runs[tree][workload].append(
-                    perfbench(trees[tree], workload, seed, trace=0))
+        runs = paired_runs(trees, Path(tmp))
         traced = {tree: {w: perfbench(trees[tree], w, SEEDS[0], trace=1)
                          for w in WORKLOADS} for tree in trees}
-        print("crossval", flush=True)
-        crossval = time_crossval(trees, Path(tmp))
+        crossval = crossval_entry(runs)
     provenance = runs["head"][WORKLOADS[0]][0]["provenance"]
     doc = {"command": f"scripts/bench_pair.py {rev} {tag}",
            "provenance": {k: v for k, v in provenance.items()

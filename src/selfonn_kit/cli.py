@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import json
 import logging
 import os
 import sys
@@ -35,12 +36,11 @@ import numpy as np
 
 from .data import (CLASS_NAMES, CvSplit, Dataset, ManifestError, PgmError,
                    load_dataset, load_pgm16, read_manifest,
-                   stratified_ordered_kfold, make_cv_splits, write_fold_plan)
+                   stratified_ordered_kfold, make_cv_splits)
 from .model import (ConfigError, Model, ModelConfig, WeightFileError,
                     build_model, load_weights, param_count, save_weights)
 from .metrics import (ConfusionMatrix, MetricReport, bench_inference,
-                      confusion, format_confusion, format_metric_table,
-                      metric_report)
+                      confusion, metric_report)
 from .synth import SynthConfig, pixel_to_temperature, synth_generate
 from .training import (DivergenceError, EpochRecord, FitResult, TrainConfig,
                        evaluate, fit)
@@ -111,8 +111,7 @@ def train_fold(config: ModelConfig, dataset: Dataset, split: CvSplit,
                 f"best_val_loss {_fmt(result.history[result.best_epoch].val_loss)}",
                 f"stopped_early {int(result.stopped_early)}",
                 f"test_loss {_fmt(test_loss)}", "",
-                format_confusion(report.matrix, CLASS_NAMES), "",
-                format_metric_table(report, CLASS_NAMES)]
+                _confusion_table(report.matrix), "", _metric_table(report)]
         _write_text(f"{stem}_report.txt", body)
     return result, report
 
@@ -364,10 +363,39 @@ def _model_config(cfg: RunConfig, input_shape: tuple[int, int, int],
                        classes=len(CLASS_NAMES))
 
 
+_NAME_WIDTH = max(map(len, CLASS_NAMES))
+
+
+def _confusion_table(matrix: ConfusionMatrix) -> str:
+    """Fixed-width counts, true classes down the side, predictions across."""
+    width = max(_NAME_WIDTH, len(str(int(matrix.counts.max()))), 5)
+    head = " " * (width + 2) + " ".join(f"{n:>{width}}" for n in CLASS_NAMES)
+    rows = (f"{name:>{width}}  " + " ".join(f"{int(v):>{width}}" for v in row)
+            for name, row in zip(CLASS_NAMES, matrix.counts))
+    return "\n".join([head, *rows])
+
+
+def _metric_table(report: MetricReport) -> str:
+    """Per-class precision/recall/F1/support, the macro and weighted rows,
+    then the accuracy."""
+    width = max(_NAME_WIDTH, len("weighted"))
+    total = report.matrix.total
+    rows = [*zip(CLASS_NAMES, report.precision, report.recall, report.f1,
+                 report.matrix.support),
+            ("macro", report.macro_precision, report.macro_recall,
+             report.macro_f1, total),
+            ("weighted", report.weighted_precision, report.weighted_recall,
+             report.weighted_f1, total)]
+    return "\n".join([f"{'':{width}}  precision  recall      f1     support",
+                      *(f"{n:>{width}}     {p:.4f}  {r:.4f}  {f:.4f}  {s:10d}"
+                        for n, p, r, f, s in rows),
+                      f"accuracy {report.accuracy:.6f}"])
+
+
 def fold_summary_table(plan, labels) -> str:
     """Class-by-fold sample counts in the usual cross-validation layout."""
     labels = np.asarray(labels)
-    width = max(max(len(n) for n in CLASS_NAMES), len("total"))
+    width = max(_NAME_WIDTH, len("total"))
     cell = max(6, len(str(len(labels))))
     head = f"{'class':<{width}}  " + "  ".join(
         f"{f'fold{f}':>{cell}}" for f in range(plan.k)) + f"  {'total':>{cell}}"
@@ -425,7 +453,8 @@ def cmd_split(cfg: RunConfig) -> int:
     labels = [r.label for r in records]
     plan = stratified_ordered_kfold(labels, cfg.k)
     out = _out_dir(cfg)
-    write_fold_plan(plan, out / "fold_plan.json")
+    doc = {"k": plan.k, "folds": [list(f) for f in plan.folds]}
+    _write_text(out / "fold_plan.json", [json.dumps(doc, indent=1)])
     print(_write_text(out / "fold_summary.txt", [fold_summary_table(plan, labels)]),
           end="")
     return EXIT_OK
@@ -450,7 +479,7 @@ def cmd_train(cfg: RunConfig) -> int:
                                 lr=cfg.lr, out=_out_dir(cfg))
     print(f"fold {split.test_fold}: {len(result.history)} epochs, "
           f"test accuracy {report.accuracy:.6f}")
-    print(format_metric_table(report, CLASS_NAMES))
+    print(_metric_table(report))
     return EXIT_OK
 
 
@@ -480,7 +509,7 @@ def cmd_crossval(cfg: RunConfig) -> int:
              f"macro_f1_std {_fmt(np.std(f1s))}",
              f"pooled_accuracy {_fmt(pooled.accuracy)}", "",
              "pooled confusion:",
-             format_confusion(pooled.matrix, CLASS_NAMES)]
+             _confusion_table(pooled.matrix)]
     print(_write_text(out / f"q{cfg.q_order}_aggregate.txt", lines), end="")
     return EXIT_OK
 
@@ -504,8 +533,8 @@ def cmd_eval(cfg: RunConfig) -> int:
     loss, report = score(model, images, labels)
     print(f"evaluating {len(images)} samples ({scope})")
     print(f"loss {_fmt(loss)}")
-    print(format_confusion(report.matrix, CLASS_NAMES))
-    print(format_metric_table(report, CLASS_NAMES))
+    print(_confusion_table(report.matrix))
+    print(_metric_table(report))
     return EXIT_OK
 
 

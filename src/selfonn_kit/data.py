@@ -12,7 +12,6 @@ folds.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from dataclasses import dataclass
@@ -249,11 +248,6 @@ def make_cv_splits(plan: FoldPlan) -> list[CvSplit]:
                 train.extend(plan.folds[f])
         splits.append(CvSplit(i, val, tuple(train), plan.folds[val], plan.folds[i]))
     return splits
-
-
-def write_fold_plan(plan: FoldPlan, path) -> None:
-    doc = {"k": plan.k, "folds": [list(f) for f in plan.folds]}
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
 
 
 @dataclass

@@ -35,10 +35,6 @@ class ConfusionMatrix:
             self.counts, other.counts)
 
     @property
-    def n_classes(self) -> int:
-        return self.counts.shape[0]
-
-    @property
     def total(self) -> int:
         return int(self.counts.sum())
 
@@ -143,42 +139,3 @@ def bench_inference(models: list[Model], images, warmup: int = 1,
                 model_forward(model, x)
             seconds[m, r] = time.perf_counter() - start
     return seconds / len(images)
-
-
-def format_confusion(matrix: ConfusionMatrix,
-                     class_names: tuple[str, ...]) -> str:
-    """Fixed-width table, true classes down the side, predictions across."""
-    if len(class_names) != matrix.n_classes:
-        raise ValueError(
-            f"{len(class_names)} names for {matrix.n_classes} classes")
-    width = max(len(n) for n in class_names)
-    width = max(width, len(str(int(matrix.counts.max()))), 5)
-    head = " " * (width + 2) + " ".join(f"{n:>{width}}" for n in class_names)
-    lines = [head]
-    for i, name in enumerate(class_names):
-        cells = " ".join(f"{int(v):>{width}}" for v in matrix.counts[i])
-        lines.append(f"{name:>{width}}  {cells}")
-    return "\n".join(lines)
-
-
-def format_metric_table(report: MetricReport,
-                        class_names: tuple[str, ...]) -> str:
-    """Per-class precision/recall/F1/support plus the summary rows."""
-    if len(class_names) != report.matrix.n_classes:
-        raise ValueError(
-            f"{len(class_names)} names for {report.matrix.n_classes} classes")
-    width = max(max(len(n) for n in class_names), len("weighted"))
-    header = f"{'':{width}}  precision  recall      f1     support"
-    lines = [header]
-    support = report.matrix.support
-    for i, name in enumerate(class_names):
-        lines.append(f"{name:>{width}}     {report.precision[i]:.4f}  "
-                     f"{report.recall[i]:.4f}  {report.f1[i]:.4f}  {support[i]:10d}")
-    lines.append(f"{'macro':>{width}}     {report.macro_precision:.4f}  "
-                 f"{report.macro_recall:.4f}  {report.macro_f1:.4f}  "
-                 f"{report.matrix.total:10d}")
-    lines.append(f"{'weighted':>{width}}     {report.weighted_precision:.4f}  "
-                 f"{report.weighted_recall:.4f}  {report.weighted_f1:.4f}  "
-                 f"{report.matrix.total:10d}")
-    lines.append(f"accuracy {report.accuracy:.6f}")
-    return "\n".join(lines)

@@ -158,11 +158,24 @@ class FitResult:
 _PASS_PIXELS = 256 * 320
 
 
-def _check_set(images, labels, name: str) -> None:
+def _check_set(model: Model, images, labels, name: str) -> np.ndarray:
+    """`labels` as an array, once the set is known to fit `model`: as many
+    labels as images, at least one, each a class of the model, and every
+    image of the model's input shape."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise ValueError(f"{name} labels must be a vector, got shape {labels.shape}")
     if len(images) != len(labels):
         raise ops.DimensionError(f"{len(images)} {name} images vs {len(labels)} labels")
     if len(images) == 0:
         raise ValueError(f"the {name} set is empty")
+    classes, shape = model.config.classes, model.config.input_shape
+    if labels.min() < 0 or labels.max() >= classes:
+        raise ValueError(f"{name} labels fall outside 0..{classes - 1}")
+    if (shapes := {np.shape(x) for x in images}) != {shape}:
+        raise ops.DimensionError(
+            f"{name} images have shapes {sorted(shapes)}, the model takes {shape}")
+    return labels
 
 
 def _passes(model: Model, images, labels: np.ndarray, order: np.ndarray,
@@ -193,8 +206,7 @@ def _passes(model: Model, images, labels: np.ndarray, order: np.ndarray,
 def evaluate(model: Model, images: list[Tensor] | np.ndarray,
              labels: np.ndarray) -> tuple[float, float, np.ndarray]:
     """Mean loss, accuracy, and per-sample argmax predictions."""
-    _check_set(images, labels, "evaluation")
-    labels = np.asarray(labels)
+    labels = _check_set(model, images, labels, "evaluation")
     with np.errstate(over="ignore", invalid="ignore"):
         total, preds = _passes(model, images, labels, np.arange(len(labels)))
     return total / len(labels), float(np.mean(preds == labels)), preds
@@ -213,9 +225,8 @@ def fit(model: Model, train_images, train_labels, val_images, val_labels,
     weights. `on_epoch`, if given, is called with each EpochRecord as it is
     produced.
     """
-    _check_set(train_images, train_labels, "training")
-    _check_set(val_images, val_labels, "validation")
-    train_labels = np.asarray(train_labels)
+    train_labels = _check_set(model, train_images, train_labels, "training")
+    _check_set(model, val_images, val_labels, "validation")
     rng = np.random.default_rng(config.seed)
     adam = AdamState.for_params(model.n_params)
     schedule = LrSchedule(learning_rate=config.learning_rate)

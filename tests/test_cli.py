@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import logging
 import os
 import pickle
@@ -596,6 +597,19 @@ class TestSynthAndSplit:
         assert rows[1][0] == "healthy" and rows[1][1:] == ["2"] * 5 + ["10"]
         assert rows[4][0] == "total" and rows[4][-1] == "30"
 
+    def test_fold_plan_file(self, tmp_path):
+        manifest = tmp_path / "m.tsv"
+        classes = ["healthy"] * 3 + ["misalignment"] * 2
+        manifest.write_text("".join(f"{i}.pgm\t{c}\n" for i, c in enumerate(classes)),
+                            encoding="utf-8")
+        assert run(["split", "--manifest", manifest, "--out", tmp_path / "o",
+                    "--k", "2"]) == cli.EXIT_OK
+        text = (tmp_path / "o" / "fold_plan.json").read_bytes().decode("utf-8")
+        plan = stratified_ordered_kfold([0, 0, 0, 1, 1], 2)
+        assert json.loads(text) == {"k": 2, "folds": [list(f) for f in plan.folds]}
+        assert text == ('{\n "k": 2,\n "folds": [\n  [\n   0,\n   1,\n   3\n  ],\n'
+                        '  [\n   2,\n   4\n  ]\n ]\n}\n')
+
     def test_split_k_flag(self, corpus, tmp_path, capsys):
         out = tmp_path / "plan"
         assert run(["split", "--manifest", corpus, "--out", out,
@@ -789,6 +803,56 @@ class TestCrossvalAggregate:
         assert run(["crossval", "--config", ini,
                     "--out", tmp_path / "B"]) == cli.EXIT_OK
         assert (tmp_path / "B" / "q1_aggregate.txt").exists()
+
+
+def report_with(count):
+    """A 3-class report whose healthy diagonal is `count`; broken_rotor is
+    never predicted, so its precision, recall and F1 read 0.0000."""
+    return metric_report(ConfusionMatrix(np.array(
+        [[count, 4, 0], [7, 250, 0], [3, 1, 0]], dtype=np.int64)))
+
+
+class TestReportTables:
+    """Exact text of the confusion and metric tables. The expected strings
+    are what metrics.format_confusion and format_metric_table wrote for the
+    same reports before the renderers moved into cli. A 7-digit count
+    keeps the class-name width; a 13-digit one widens the columns."""
+
+    @pytest.mark.parametrize("count,expected", [
+        (1234567,
+         "                   healthy misalignment broken_rotor\n"
+         "     healthy       1234567            4            0\n"
+         "misalignment             7          250            0\n"
+         "broken_rotor             3            1            0"),
+        (1234567890123,
+         "                     healthy  misalignment  broken_rotor\n"
+         "      healthy  1234567890123             4             0\n"
+         " misalignment              7           250             0\n"
+         " broken_rotor              3             1             0")],
+        ids=["seven_digits", "thirteen_digits"])
+    def test_confusion_table(self, count, expected):
+        assert cli._confusion_table(report_with(count).matrix) == expected
+
+    @pytest.mark.parametrize("count,expected", [
+        (1234567,
+         "              precision  recall      f1     support\n"
+         "     healthy     1.0000  1.0000  1.0000     1234571\n"
+         "misalignment     0.9804  0.9728  0.9766         257\n"
+         "broken_rotor     0.0000  0.0000  0.0000           4\n"
+         "       macro     0.6601  0.6576  0.6589     1234832\n"
+         "    weighted     1.0000  1.0000  1.0000     1234832\n"
+         "accuracy 0.999988"),
+        (1234567890123,
+         "              precision  recall      f1     support\n"
+         "     healthy     1.0000  1.0000  1.0000  1234567890127\n"
+         "misalignment     0.9804  0.9728  0.9766         257\n"
+         "broken_rotor     0.0000  0.0000  0.0000           4\n"
+         "       macro     0.6601  0.6576  0.6589  1234567890388\n"
+         "    weighted     1.0000  1.0000  1.0000  1234567890388\n"
+         "accuracy 1.000000")],
+        ids=["seven_digits", "thirteen_digits"])
+    def test_metric_table(self, count, expected):
+        assert cli._metric_table(report_with(count)) == expected
 
 
 class TestSharedFoldPath:

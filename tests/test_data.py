@@ -1,5 +1,4 @@
 import hashlib
-import json
 import tracemalloc
 
 import numpy as np
@@ -251,15 +250,6 @@ class TestCvSplits:
             assert combined == list(range(20))
             assert set(sp.train_indices).isdisjoint(sp.test_indices)
             assert set(sp.train_indices).isdisjoint(sp.val_indices)
-
-
-class TestFoldPlanFile:
-    def test_roundtrip(self, tmp_path):
-        plan = d.stratified_ordered_kfold([0] * 9 + [1] * 6, 3)
-        path = tmp_path / "plan.json"
-        d.write_fold_plan(plan, path)
-        doc = json.loads(path.read_text())
-        assert doc == {"k": 3, "folds": [list(f) for f in plan.folds]}
 
 
 class TestLoadDataset:

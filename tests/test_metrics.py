@@ -158,28 +158,3 @@ class TestBench:
         with pytest.raises(ValueError):
             m.bench_inference([model], images, warmup=-1)
 
-
-class TestFormatting:
-    def test_confusion_table_contents(self):
-        text = m.format_confusion(cm([[10, 2], [3, 85]]), ("neg", "pos"))
-        lines = text.splitlines()
-        assert len(lines) == 3
-        assert "neg" in lines[0] and "pos" in lines[0]
-        assert lines[1].split() == ["neg", "10", "2"]
-        assert lines[2].split() == ["pos", "3", "85"]
-
-    def test_metric_table_contents(self):
-        report = m.metric_report(cm([[2, 1], [0, 3]]))
-        text = m.format_metric_table(report, ("a", "b"))
-        assert "accuracy 0.833333" in text
-        rows = [line.split() for line in text.splitlines()]
-        assert rows[1][0] == "a" and rows[1][1] == "1.0000"
-        assert rows[3][0] == "macro"
-        assert rows[4][0] == "weighted"
-
-    def test_name_count_checked(self):
-        with pytest.raises(ValueError):
-            m.format_confusion(cm([[1, 0], [0, 1]]), ("only",))
-        with pytest.raises(ValueError):
-            m.format_metric_table(m.metric_report(cm([[1, 0], [0, 1]])),
-                                  ("a", "b", "c"))

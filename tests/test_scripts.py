@@ -219,26 +219,49 @@ def test_bench_pair_selfonn_counts_child_faults(tmp_path):
     assert faults >= 8 << 10
 
 
-def test_bench_pair_crossval_records_faults(tmp_path, monkeypatch):
+@pytest.mark.parametrize("differs", [None, "file", "stdout"])
+def test_bench_pair_schedule_and_crossval_entry(tmp_path, monkeypatch, differs):
     bench_pair = load_bench_pair()
     calls = []
 
+    def fake_perfbench(tree, workload, seed, trace):
+        calls.append((tree, workload, seed))
+        return {"seed": seed}
+
     def fake_selfonn(tree, command, *args):
+        calls.append((tree, command.split()[0]))
         out = Path(args[args.index("--out") + 1])
         out.mkdir()
-        (out / "report.txt").write_text("same\n", encoding="utf-8")
-        calls.append((tree, command.split()[0]))
-        return float(len(calls)), 100 * len(calls), "same\n"
+        text = {"file": "same\n", "stdout": "same\n"}
+        if differs and len(calls) == 12:  # REV's crossval run of seed 3
+            text[differs] = "other\n"
+        (out / "report.txt").write_text(text["file"], encoding="utf-8")
+        seconds = float(len(calls) + (10 if tree == "R" else 0))
+        return seconds, 10 * len(calls), text["stdout"]
 
+    monkeypatch.setattr(bench_pair, "perfbench", fake_perfbench)
     monkeypatch.setattr(bench_pair, "selfonn", fake_selfonn)
-    monkeypatch.setattr(bench_pair, "CROSSVAL_RUNS", 3)
-    entry = bench_pair.time_crossval({"head": "H", "rev": "R"}, tmp_path)
-    # synth once from REV's tree, then head/rev, rev/head, head/rev
-    assert calls == [("R", "synth"), ("H", "crossval"), ("R", "crossval"),
-                     ("R", "crossval"), ("H", "crossval"), ("H", "crossval"),
-                     ("R", "crossval")]
-    assert entry["head"]["runs"] == [2.0, 5.0, 6.0]
-    assert entry["head"]["minor_faults"] == [200, 500, 600]
-    assert entry["rev"]["runs"] == [3.0, 4.0, 7.0]
-    assert entry["rev"]["minor_faults"] == [300, 400, 700]
-    assert entry["rev"]["median"] == 4.0 and entry["artifacts_identical"]
+    monkeypatch.setattr(bench_pair, "SEEDS", (1, 2, 3))
+    monkeypatch.setattr(bench_pair, "JOBS", ("desk_train", "crossval"))
+    runs = bench_pair.paired_runs({"head": "H", "rev": "R"}, tmp_path)
+    # synth once from REV's tree; the first tree alternates from job to job
+    # and, for each job, from seed to seed
+    assert calls == [("R", "synth"),
+                     ("H", "desk_train", 1), ("R", "desk_train", 1),
+                     ("R", "crossval"), ("H", "crossval"),
+                     ("R", "desk_train", 2), ("H", "desk_train", 2),
+                     ("H", "crossval"), ("R", "crossval"),
+                     ("H", "desk_train", 3), ("R", "desk_train", 3),
+                     ("R", "crossval"), ("H", "crossval")]
+    assert runs["head"]["desk_train"] == [{"seed": 1}, {"seed": 2}, {"seed": 3}]
+    entry = bench_pair.crossval_entry(runs)
+    assert entry["command"] == bench_pair.CROSSVAL
+    assert entry["minor_faults"] == {"head": [50, 80, 130], "rev": [40, 90, 120]}
+    seconds = entry["seconds"]
+    assert seconds["head"]["runs"] == [5.0, 8.0, 13.0]
+    assert seconds["rev"]["runs"] == [14.0, 19.0, 22.0]
+    assert (seconds["better"], seconds["bound"]) == ("lower", 0.15)
+    assert (seconds["head_wins"], seconds["pairs"]) == (3, 3)
+    assert seconds["median_ratio"] == 8.0 / 19.0
+    assert seconds["verdict"] == "gain"
+    assert entry["artifacts_identical"] is (differs is None)

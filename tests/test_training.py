@@ -164,6 +164,17 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(m, [], np.array([], dtype=int))
 
+    @pytest.mark.parametrize("images,labels,error", [
+        ([np.zeros((1, 6, 6))], np.array([2]), ValueError),  # TINY has 2 classes
+        ([np.zeros((1, 6, 6))], np.array([[0]]), ValueError),
+        ([np.zeros((1, 6, 6)), np.zeros((1, 6, 7))], np.array([0, 1]),
+         ops.DimensionError)],
+        ids=["label", "label_matrix", "shape"])
+    def test_rejects_labels_and_shapes_the_model_cannot_take(self, images, labels,
+                                                             error):
+        with pytest.raises(error):
+            evaluate(build_model(TINY, 3), images, labels)
+
 
 class TestTrainConfig:
     @pytest.mark.parametrize("kwargs", [
@@ -244,11 +255,9 @@ class TestFit:
             fit(m, [], np.array([], dtype=int), [np.zeros((1, 6, 6))],
                 np.array([0]), TrainConfig())
 
-    @pytest.mark.parametrize("val_x,val_y,error", [
-        ([], np.array([], dtype=int), ValueError),
-        ([np.zeros((1, 12, 14))], np.array([], dtype=int), ops.DimensionError)],
-        ids=["empty", "count"])
-    def test_bad_validation_set_rejected_before_training(self, val_x, val_y, error):
+    @staticmethod
+    def fit_rejects(error, train_y, val_x, val_y):
+        """`fit` raises `error` and leaves the weights as they were."""
         cfg = ModelConfig(q_order=1, input_shape=(1, 12, 14), block_filters=(2,),
                           kernel_sizes=(3,), dense_units=4, classes=3)
         m = build_model(cfg, 23)
@@ -256,9 +265,24 @@ class TestFit:
         r = np.random.default_rng(24)
         train_x = [r.random(cfg.input_shape) for _ in range(8)]
         with pytest.raises(error):
-            fit(m, train_x, np.arange(8) % 3, val_x, val_y,
+            fit(m, train_x, train_y, val_x, val_y,
                 TrainConfig(max_epochs=3, batch_size=4, seed=25))
         assert np.array_equal(m.flat, before)
+
+    @pytest.mark.parametrize("val_x,val_y,error", [
+        ([], np.array([], dtype=int), ValueError),
+        ([np.zeros((1, 12, 14))], np.array([], dtype=int), ops.DimensionError),
+        ([np.zeros((1, 12, 14))], np.array([3]), ValueError),
+        ([np.zeros((1, 12, 14))], np.array([-1]), ValueError),
+        ([np.zeros((1, 12, 15))], np.array([0]), ops.DimensionError)],
+        ids=["empty", "count", "label_high", "label_negative", "shape"])
+    def test_bad_validation_set_rejected_before_training(self, val_x, val_y, error):
+        self.fit_rejects(error, np.arange(8) % 3, val_x, val_y)
+
+    def test_bad_training_label_rejected_before_training(self):
+        train_y = np.arange(8) % 3
+        train_y[5] = 3
+        self.fit_rejects(ValueError, train_y, [np.zeros((1, 12, 14))], np.array([0]))
 
 
 def plain_params(model):
