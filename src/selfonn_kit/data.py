@@ -38,12 +38,6 @@ class ThermalImage:
 
     pixels: np.ndarray
 
-    def __post_init__(self):
-        if self.pixels.ndim != 2 or self.pixels.dtype != np.uint16:
-            raise ValueError(
-                f"pixels must be a 2-D uint16 array, got shape "
-                f"{tuple(self.pixels.shape)} dtype {self.pixels.dtype}")
-
     @property
     def height(self) -> int:
         return self.pixels.shape[0]

@@ -158,9 +158,6 @@ class Model:
 
     def load_flat(self, vec: Tensor) -> None:
         """Copy a flat vector into the buffer; all layer views update."""
-        if vec.shape != self.flat.shape:
-            raise DimensionError(
-                f"flat vector shape {tuple(vec.shape)} vs model {tuple(self.flat.shape)}")
         np.copyto(self.flat, vec)
 
     @property

@@ -23,8 +23,8 @@ gets the bits a fresh one would.
 
 Shapes are checked at the model boundary, not here: ``ModelConfig`` fixes
 every layer's map and kernel sizes and ``model_forward`` checks the input,
-so these kernels take their arguments as given. Only the loss checks its
-targets, which come from the data.
+so these kernels take their arguments as given. The loss's targets are
+checked once too, with the labels they come from, in ``training._check_set``.
 """
 
 from __future__ import annotations
@@ -253,13 +253,7 @@ def cross_entropy_with_softmax(logits: Tensor, target_class) -> tuple[float | Te
     leading shape; one sample (1-D logits, an int target) gives a float
     loss, a batch gives one loss per sample. Nothing is averaged here.
     """
-    k = logits.shape[-1]
     target = np.asarray(target_class)
-    if target.shape != logits.shape[:-1]:
-        raise DimensionError(
-            f"target shape {target.shape} vs logits {tuple(logits.shape)}")
-    if np.any((target < 0) | (target >= k)):
-        raise ValueError(f"target class {target_class} outside [0, {k})")
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
     s = e.sum(axis=-1, keepdims=True)

@@ -66,10 +66,6 @@ class AdamState:
 def adam_step(params: Tensor, grads: Tensor, state: AdamState,
               learning_rate: float) -> None:
     """One in-place Adam update with bias-corrected moments."""
-    if params.shape != grads.shape or params.shape != state.m.shape:
-        raise ops.DimensionError(
-            f"adam buffers disagree: params {tuple(params.shape)}, "
-            f"grads {tuple(grads.shape)}, moments {tuple(state.m.shape)}")
     state.t += 1
     state.m *= ADAM_BETA1
     state.m += (1 - ADAM_BETA1) * grads
@@ -160,11 +156,14 @@ _PASS_PIXELS = 256 * 320
 
 def _check_set(model: Model, images, labels, name: str) -> np.ndarray:
     """`labels` as an array, once the set is known to fit `model`: as many
-    labels as images, at least one, each a class of the model, and every
-    image of the model's input shape."""
+    labels as images, at least one, each an integer class of the model, and
+    every image of the model's input shape. This is the one check of the
+    labels: the loss and the confusion matrix take them as given."""
     labels = np.asarray(labels)
     if labels.ndim != 1:
         raise ValueError(f"{name} labels must be a vector, got shape {labels.shape}")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(f"{name} labels must be integers, got {labels.dtype}")
     if len(images) != len(labels):
         raise ops.DimensionError(f"{len(images)} {name} images vs {len(labels)} labels")
     if len(images) == 0:

@@ -78,10 +78,6 @@ class TestPgm:
         back = d.parse_pgm16(b"P5\n1 1\n65535\n\x01\x00")
         assert back.pixels[0, 0] == 256
 
-    def test_pixels_must_be_uint16(self):
-        with pytest.raises(ValueError):
-            d.ThermalImage(np.zeros((2, 2), dtype=np.uint8))
-
 
 class TestResizeHalf:
     def test_checkerboard_averages_to_midpoint(self):

@@ -71,3 +71,24 @@ def test_cli_writes_only_in_its_writer():
     path = ROOT / "src" / "selfonn_kit" / "cli.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert writes_outside(tree, "_write_text") == [], "write through _write_text"
+
+
+def raises_in(tree: ast.AST) -> list[int]:
+    """Lines of `raise` statements."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Raise)]
+
+
+def test_rule_flags_raises():
+    tree = ast.parse("class E(ValueError):\n    pass\n"
+                     "def f(x):\n    if x:\n        raise E(x)\n    return x\n"
+                     "try:\n    f(1)\nexcept E:\n    raise\n")
+    assert sorted(raises_in(tree)) == [5, 10]
+
+
+# Inputs are checked where they enter (configs, file loads, the training
+# and evaluation sets, the model's input), so the kernels take their
+# arguments as given.
+def test_ops_raises_nothing():
+    path = ROOT / "src" / "selfonn_kit" / "ops.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert raises_in(tree) == [], "check inputs at the boundary, not in ops"

@@ -38,28 +38,6 @@ class TestConfusion:
         assert mat.total == 200
         assert mat.support == tuple(int(np.sum(true == i)) for i in range(4))
 
-    def test_label_range_checked(self):
-        with pytest.raises(ValueError, match="outside 0..2"):
-            m.confusion([0, 3], [0, 1], 3)
-        with pytest.raises(ValueError, match="predicted"):
-            m.confusion([0, 1], [0, -1], 3)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            m.confusion([0, 1, 2], [0, 1], 3)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            m.confusion([], [], 3)
-
-    def test_matrix_validation(self):
-        with pytest.raises(ValueError, match="square"):
-            cm([[1, 2, 3], [4, 5, 6]])
-        with pytest.raises(ValueError, match="non-negative"):
-            cm([[1, -1], [0, 2]])
-        with pytest.raises(ValueError):
-            m.ConfusionMatrix(np.zeros((2, 2), dtype=np.float64))
-
 
 class TestMetricReport:
     def test_hand_worked_binary_case(self):
@@ -145,16 +123,4 @@ class TestBench:
         m.bench_inference(models, images, warmup=1, repeats=2)
         # the warmup pass, then two rounds of one pass per model in turn
         assert calls == [0, 0, 1, 1, 2, 2] * 3
-
-    def test_argument_validation(self):
-        model = self.tiny_model()
-        images = [np.zeros((1, 12, 12))]
-        with pytest.raises(ValueError):
-            m.bench_inference([model], [], repeats=1)
-        with pytest.raises(ValueError):
-            m.bench_inference([], images, repeats=1)
-        with pytest.raises(ValueError):
-            m.bench_inference([model], images, repeats=0)
-        with pytest.raises(ValueError):
-            m.bench_inference([model], images, warmup=-1)
 

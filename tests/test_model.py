@@ -103,11 +103,6 @@ class TestModelBuffer:
         m.load_flat(snap)
         assert np.array_equal(snap, m.flat)
 
-    def test_load_flat_shape_check(self):
-        m = sm.build_model(REDUCED, 1)
-        with pytest.raises(ops.DimensionError):
-            m.load_flat(np.zeros(m.n_params + 1))
-
     def test_from_flat_rejects_wrong_length(self):
         with pytest.raises(ops.DimensionError):
             sm.Model.from_flat(REDUCED, np.zeros(10))

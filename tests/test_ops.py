@@ -351,12 +351,6 @@ class TestSoftmaxCrossEntropy:
                 lambda: ops.cross_entropy_with_softmax(z, 2)[0], z, i)
             assert relative_error(grad[i], num) < 1e-7
 
-    def test_target_out_of_range(self):
-        with pytest.raises(ValueError):
-            ops.cross_entropy_with_softmax(np.zeros(3), 3)
-        with pytest.raises(ValueError):
-            ops.cross_entropy_with_softmax(np.zeros(3), -1)
-
 
 class TestBatchedOps:
     """[N, C, H, W] inputs: every sample as its loop oracle and as its own call."""
@@ -459,10 +453,6 @@ class TestBatchedOps:
             loss, grad = ops.cross_entropy_with_softmax(logits[i], int(targets[i]))
             assert isinstance(loss, float) and loss == losses[i]
             assert np.array_equal(grad, grads[i])
-        with pytest.raises(ValueError):
-            ops.cross_entropy_with_softmax(logits, np.full(6, 3))
-        with pytest.raises(ops.DimensionError):
-            ops.cross_entropy_with_softmax(logits, 1)
 
     @pytest.mark.parametrize("q", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 5])

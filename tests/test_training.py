@@ -63,10 +63,6 @@ class TestAdam:
         assert np.allclose(params[:3], -0.001 * np.sign(g[:3]), rtol=1e-4)
         assert params[3] == 0.0
 
-    def test_buffer_shape_check(self):
-        with pytest.raises(ops.DimensionError):
-            adam_step(np.zeros(3), np.zeros(4), AdamState.for_params(3), 0.1)
-
 
 class TestPlateauSchedule:
     def test_four_flat_epochs_halve_the_rate(self):
@@ -168,8 +164,9 @@ class TestEvaluate:
         ([np.zeros((1, 6, 6))], np.array([2]), ValueError),  # TINY has 2 classes
         ([np.zeros((1, 6, 6))], np.array([[0]]), ValueError),
         ([np.zeros((1, 6, 6)), np.zeros((1, 6, 7))], np.array([0, 1]),
-         ops.DimensionError)],
-        ids=["label", "label_matrix", "shape"])
+         ops.DimensionError),
+        ([np.zeros((1, 6, 6))], np.array([1.0]), ValueError)],
+        ids=["label", "label_matrix", "shape", "label_float"])
     def test_rejects_labels_and_shapes_the_model_cannot_take(self, images, labels,
                                                              error):
         with pytest.raises(error):
@@ -274,8 +271,10 @@ class TestFit:
         ([np.zeros((1, 12, 14))], np.array([], dtype=int), ops.DimensionError),
         ([np.zeros((1, 12, 14))], np.array([3]), ValueError),
         ([np.zeros((1, 12, 14))], np.array([-1]), ValueError),
-        ([np.zeros((1, 12, 15))], np.array([0]), ops.DimensionError)],
-        ids=["empty", "count", "label_high", "label_negative", "shape"])
+        ([np.zeros((1, 12, 15))], np.array([0]), ops.DimensionError),
+        ([np.zeros((1, 12, 14))], np.array([1.0]), ValueError)],
+        ids=["empty", "count", "label_high", "label_negative", "shape",
+             "label_float"])
     def test_bad_validation_set_rejected_before_training(self, val_x, val_y, error):
         self.fit_rejects(error, np.arange(8) % 3, val_x, val_y)
 
