@@ -123,4 +123,3 @@ class TestBench:
         m.bench_inference(models, images, warmup=1, repeats=2)
         # the warmup pass, then two rounds of one pass per model in turn
         assert calls == [0, 0, 1, 1, 2, 2] * 3
-
