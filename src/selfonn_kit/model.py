@@ -10,8 +10,10 @@ Forward and backward passes take one image ``[C, H, W]`` or a batch
 ``[N, C, H, W]`` through the same code. A batch runs each layer once for all
 samples, with per-sample GEMMs, and adds the per-sample parameter gradients
 to the gradient buffer one sample at a time, so the result is bitwise the
-running total of one-image passes. A training pass writes its maps into
-buffers kept from the previous pass; an inference pass frees them once read.
+running total of one-image passes. The model keeps a training pass's maps
+and writes the next training pass of the same input shape into them; an
+inference pass drops them and frees its own maps once read. So a training
+cache stays valid until its backward pass or the model's next pass.
 
 All parameters live in one flat float64 buffer; the per-layer arrays are
 reshaped views into it, which keeps optimizer updates, snapshots and the
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -129,13 +131,19 @@ class DenseParams(NamedTuple):
 
 @dataclass
 class Model:
-    """Layer stack plus the flat parameter buffer the layer arrays view into."""
+    """Layer stack plus the flat parameter buffer the layer arrays view into.
+
+    `kept_maps` holds the last training pass's input shape, block maps and
+    input-adjoint paddings, and the one cache a backward pass may still use;
+    only model_forward and model_backward touch it.
+    """
 
     config: ModelConfig
     flat: Tensor
     blocks: list[SelfOnnLayerParams]
     hidden: DenseParams
     output: DenseParams
+    kept_maps: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def from_flat(cls, config: ModelConfig, flat: Tensor) -> "Model":
@@ -273,52 +281,52 @@ class BlockCache(NamedTuple):
 @dataclass
 class ForwardCache:
     config: ModelConfig       # the configuration of the pass that made it
-    blocks: list[BlockCache]  # backward pops each entry once done with it
+    blocks: list[BlockCache]  # the model's kept maps, which backward overwrites
     flat_input: Tensor        # flattened final pooled map
     hidden_activated: Tensor
 
 
-def model_forward(model: Model, x: Tensor, train_mode: bool = False,
-                  maps: dict | None = None) -> tuple[Tensor, ForwardCache | None]:
+def model_forward(model: Model, x: Tensor,
+                  train_mode: bool = False) -> tuple[Tensor, ForwardCache | None]:
     """Forward pass to raw logits; caches intermediates when training.
 
     `x` is one image [C,H,W], giving (K,) logits, or a batch [N,C,H,W],
     giving (N,K); each sample's logits are bitwise those it gets alone.
-    `maps`, a training loop's dict, keeps each block's power stack,
-    pre-activation and pooled map for the next pass of the same input shape.
+    A training pass writes each block's power stack, pre-activation and
+    pooled map into those the model kept from its previous training pass of
+    the same input shape, and keeps them; an inference pass drops them.
     """
     cfg = model.config
     if x.ndim < 3 or tuple(x.shape[-3:]) != cfg.input_shape:
         raise DimensionError(
             f"input shape {tuple(x.shape)} vs configured {cfg.input_shape}")
-    maps = {} if maps is None else maps
-    if maps.get("shape") != x.shape:
-        maps.clear()
-        maps["shape"] = x.shape
-    block_caches = []
+    kept = model.kept_maps
+    if not train_mode or kept.get("shape") != x.shape:
+        kept.clear()
+    blocks = kept.get("blocks") or [BlockCache(None, None, None)] * len(model.blocks)
     cur = x
     for i, layer in enumerate(model.blocks):
-        kept = maps.get(("block", i)) or BlockCache(None, None, None)
-        stack = power_stack(cur, layer.q_order, out=kept.stack)
-        pre = selfonn_forward(layer, stack, out=kept.pre)
+        stack = power_stack(cur, layer.q_order, out=blocks[i].stack)
+        pre = selfonn_forward(layer, stack, out=blocks[i].pre)
         stack = stack if train_mode else None  # inference frees maps once read
-        cur = ops.maxpool2x2(pre, out=kept.activated)  # tanh is monotonic: pool first
+        cur = ops.maxpool2x2(pre, out=blocks[i].activated)  # tanh is monotonic: pool first
         ops.tanh_forward(cur, out=cur)
         if train_mode:
-            block_caches.append(BlockCache(stack, pre, cur))
-            maps["block", i] = block_caches[-1]
+            blocks[i] = BlockCache(stack, pre, cur)
         del pre
     flat_in = cur.reshape(*cur.shape[:-3], -1)
     hidden_act = ops.dense_forward(flat_in, model.hidden.weights, model.hidden.bias)
     ops.tanh_forward(hidden_act, out=hidden_act)
     logits = ops.dense_forward(hidden_act, model.output.weights, model.output.bias)
-    cache = ForwardCache(cfg, block_caches, flat_in, hidden_act) if train_mode else None
+    cache = ForwardCache(cfg, blocks, flat_in, hidden_act) if train_mode else None
+    if train_mode:
+        kept.update(shape=x.shape, blocks=blocks, cache=cache)
     return logits, cache
 
 
 def model_backward(model: Model, cache: ForwardCache, grad_logits: Tensor,
-                   input_grad: bool = True, grads: Tensor | None = None,
-                   maps: dict | None = None) -> tuple[Tensor, Tensor | None]:
+                   input_grad: bool = True,
+                   grads: Tensor | None = None) -> tuple[Tensor, Tensor | None]:
     """Backward pass from dL/dlogits, (K,) for one image or (N,K) for a batch.
 
     Returns (flat_grads, grad_input). flat_grads is the parameter gradient
@@ -326,15 +334,18 @@ def model_backward(model: Model, cache: ForwardCache, grad_logits: Tensor,
     sample order, to `grads` (in place) or to a new zero buffer, so several
     passes can share one running total. grad_input is the gradient w.r.t.
     the network input, shaped like that input, or None when `input_grad` is
-    False (training never uses it). The cache must come from a forward pass
-    of the same configuration; the pass consumes it, overwriting the cached
-    maps with their gradients and popping each block's entry once done with
-    it. `maps`, the forward's dict, also keeps each input adjoint's padding.
+    False (training never uses it). The cache must be that of the model's
+    latest pass, a training pass; the pass consumes it, overwriting the
+    cached maps with their gradients. The model also keeps each input
+    adjoint's padding.
     """
     if cache is None or cache.config != model.config:
         raise ConsistencyError("forward cache does not match this model")
-    if len(cache.blocks) != len(model.blocks):
-        raise ConsistencyError("forward cache was already used by a backward pass")
+    kept = model.kept_maps
+    if kept.get("cache") is not cache:
+        raise ConsistencyError("forward cache was already used by a backward "
+                               "pass, or the model has run a pass since")
+    del kept["cache"]
     if grads is None:
         grads = np.zeros_like(model.flat)
     gview = Model.from_flat(model.config, grads)  # same layout as the model
@@ -353,16 +364,16 @@ def model_backward(model: Model, cache: ForwardCache, grad_logits: Tensor,
 
     g = g_flat.reshape(cache.blocks[-1].activated.shape)
     for i in range(len(model.blocks) - 1, -1, -1):
-        stack, pre, act = cache.blocks.pop()
+        stack, pre, act = cache.blocks[i]
         g_pre = ops.maxpool2x2_backward(ops.tanh_backward(act, g, out=act), pre,
                                         out=pre)
         need = input_grad or i > 0
-        if need and maps is not None and ("padded", i) not in maps:  # border zeroed once
+        if need and ("padded", i) not in kept:  # border zeroed once
             k = model.config.kernel_sizes[i]
-            maps["padded", i] = np.zeros(
+            kept["padded", i] = np.zeros(
                 (*g_pre.shape[:-2], *(n + 2 * k - 2 for n in g_pre.shape[-2:])))
         gk, gb, g = selfonn_backward(model.blocks[i], stack, g_pre, need,
-                                     None if maps is None else maps.get(("padded", i)))
+                                     kept.get(("padded", i)))
         add_in_order(gview.blocks[i].kernels, gk)
         add_in_order(gview.blocks[i].biases, gb)
     return grads, g

@@ -9,8 +9,9 @@ the validation loss in a fixed order (schedule first, then the stopper).
 Training batches and evaluation sets run through one pass loop, _passes,
 as batch-major passes over [N, C, H, W]. Per-sample gradients and losses
 are still added in sample order, so every result is bitwise that of a loop
-over single samples. `fit` keeps each training pass's maps for the next
-pass; it drops them to validate and on return.
+over single samples. The model keeps each training pass's maps for its
+next training pass (see model_forward); the validation pass that ends every
+epoch drops them, so the model holds none once `fit` returns.
 """
 
 from __future__ import annotations
@@ -178,13 +179,13 @@ def _check_set(model: Model, images, labels, name: str) -> np.ndarray:
 
 
 def _passes(model: Model, images, labels: np.ndarray, order: np.ndarray,
-            maps=None, grads=None) -> tuple[float, np.ndarray]:
+            grads=None) -> tuple[float, np.ndarray]:
     """Summed loss and argmax predictions of the images at `order`.
 
     Passes of _PASS_PIXELS input pixels (at least one image) are gathered,
     run and scored, their losses added in sample order. Given `grads`, they
-    are training passes: each keeps its maps in `maps` (see model_forward)
-    and backpropagates, adding its per-sample gradients to `grads`.
+    are training passes: each backpropagates, adding its per-sample
+    gradients to `grads`.
     """
     step = max(1, _PASS_PIXELS // int(np.prod(model.config.input_shape)))
     total = 0.0
@@ -192,11 +193,10 @@ def _passes(model: Model, images, labels: np.ndarray, order: np.ndarray,
     for lo in range(0, len(order), step):
         part = order[lo:lo + step]
         logits, cache = model_forward(model, np.stack([images[i] for i in part]),
-                                      train_mode=grads is not None, maps=maps)
+                                      train_mode=grads is not None)
         losses, grad_logits = ops.cross_entropy_with_softmax(logits, labels[part])
         if grads is not None:
-            model_backward(model, cache, grad_logits, input_grad=False,
-                           grads=grads, maps=maps)
+            model_backward(model, cache, grad_logits, input_grad=False, grads=grads)
         total = add_in_order(total, losses)
         preds[lo:lo + step] = np.argmax(logits, axis=-1)
     return total, preds
@@ -231,7 +231,6 @@ def fit(model: Model, train_images, train_labels, val_images, val_labels,
     schedule = LrSchedule(learning_rate=config.learning_rate)
     stopper = EarlyStopper()
     history: list[EpochRecord] = []
-    maps: dict = {}  # training-pass maps kept from pass to pass
     for epoch in range(config.max_epochs):
         order = rng.permutation(len(train_images))
         train_total = 0.0
@@ -241,14 +240,13 @@ def fit(model: Model, train_images, train_labels, val_images, val_labels,
                 batch = order[lo:lo + config.batch_size]
                 grads = np.zeros_like(model.flat)
                 batch_loss, _ = _passes(model, train_images, train_labels, batch,
-                                        maps, grads)
+                                        grads)
                 grads /= len(batch)
                 if not np.isfinite(batch_loss) or not np.all(np.isfinite(grads)):
                     raise DivergenceError(
                         f"non-finite loss or gradient at epoch {epoch}, batch {b}")
                 adam_step(model.flat, grads, adam, schedule.learning_rate)
                 train_total += batch_loss
-        maps.clear()  # validation passes reuse the memory, not fault in more
         val_loss, val_acc, _ = evaluate(model, val_images, val_labels)
         if not np.isfinite(val_loss):
             raise DivergenceError(f"non-finite validation loss at epoch {epoch}")

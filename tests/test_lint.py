@@ -92,3 +92,25 @@ def test_ops_raises_nothing():
     path = ROOT / "src" / "selfonn_kit" / "ops.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert raises_in(tree) == [], "check inputs at the boundary, not in ops"
+
+
+def uses_of(tree: ast.AST, name: str) -> list[int]:
+    """Lines that read or write the attribute `name`, or pass it by keyword."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == name
+            or isinstance(node, ast.Call) and any(k.arg == name for k in node.keywords)]
+
+
+def test_rule_flags_uses_of_the_attribute():
+    tree = ast.parse("m.kept_maps.clear()\nm.kept_maps = {}\nx = m.flat\n"
+                     "Model(c, f, b, h, o, kept_maps={})\nkept_maps = 1\n")
+    assert sorted(uses_of(tree, "kept_maps")) == [1, 2, 4]
+
+
+# The model alone decides which maps a training pass reuses and when they
+# are dropped, so its kept maps are touched in model.py only.
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.parent.name == "selfonn_kit"
+                                  and p.name != "model.py"], ids=lambda p: p.name)
+def test_kept_maps_stay_in_the_model(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert uses_of(tree, "kept_maps") == [], f"{path.name}: leave kept_maps to model.py"

@@ -295,6 +295,74 @@ class TestFullModel:
         with pytest.raises(sm.ConsistencyError, match="already used"):
             sm.model_backward(m, cache, g)
 
+    # Q=2, 16x20 inputs, two blocks: the shapes that showed a stale cache's
+    # backward returning another pass's gradient without a word.
+    STALE = sm.ModelConfig(q_order=2, input_shape=(1, 16, 20), block_filters=(2, 2),
+                           kernel_sizes=(3, 2), dense_units=4)
+
+    @pytest.mark.parametrize("between", ["train-same-shape", "train-other-batch",
+                                         "inference"])
+    def test_stale_cache_rejected(self, between):
+        # A training cache is valid until its backward pass or the model's
+        # next pass; the check runs before the pass writes anything.
+        m = sm.build_model(self.STALE, 3)
+        r = np.random.default_rng(0)
+        logits, cache = sm.model_forward(m, r.random((2, *self.STALE.input_shape)),
+                                         train_mode=True)
+        _, g = ops.cross_entropy_with_softmax(logits, np.array([0, 2]))
+        lead = {"train-other-batch": (3,)}.get(between, (2,))
+        sm.model_forward(m, r.random((*lead, *self.STALE.input_shape)),
+                         train_mode=between != "inference")
+        kept = [a.copy() for bc in cache.blocks for a in bc]
+        kept += [cache.flat_input.copy(), cache.hidden_activated.copy()]
+        grads = np.zeros_like(m.flat)
+        with pytest.raises(sm.ConsistencyError, match="already used"):
+            sm.model_backward(m, cache, g, grads=grads)
+        now = [a for bc in cache.blocks for a in bc]
+        now += [cache.flat_input, cache.hidden_activated]
+        assert len(now) == len(kept) == 2 * 3 + 2
+        assert all(np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+                   for a, b in zip(now, kept))
+        assert not grads.any()
+
+    def test_passes_in_turn_match_fresh_models(self):
+        # forward, backward, forward, backward on one model: the second pass
+        # writes into the first pass's kept maps and paddings, and each pass
+        # gets the bits a fresh model gets.
+        r = np.random.default_rng(1)
+        xs = [r.random((2, *self.STALE.input_shape)) for _ in range(2)]
+        y = np.array([1, 0])
+
+        def step(m, x):
+            logits, cache = sm.model_forward(m, x, train_mode=True)
+            _, g = ops.cross_entropy_with_softmax(logits, y)
+            return (logits, *sm.model_backward(m, cache, g))
+
+        m = sm.build_model(self.STALE, 4)
+        for x in xs:
+            got, want = step(m, x), step(sm.build_model(self.STALE, 4), x)
+            for a, b in zip(got, want, strict=True):
+                assert np.array_equal(a, b)
+                assert np.array_equal(np.signbit(a), np.signbit(b))
+
+    @pytest.mark.parametrize("infer_between,shared", [(False, True), (True, False)],
+                             ids=["train-only", "inference-between"])
+    def test_inference_pass_drops_kept_maps(self, infer_between, shared):
+        # A training pass writes into the maps of the model's previous
+        # training pass of the same shape, unless an inference pass ran
+        # since: that pass dropped them, as validation does in `fit`.
+        m = sm.build_model(self.STALE, 5)
+        x = np.random.default_rng(2).random((2, *self.STALE.input_shape))
+        logits, cache = sm.model_forward(m, x, train_mode=True)
+        first = [a for bc in cache.blocks for a in bc]
+        sm.model_backward(m, cache, ops.cross_entropy_with_softmax(logits, np.array([2, 1]))[1])
+        if infer_between:
+            sm.model_forward(m, x)
+        _, cache = sm.model_forward(m, x, train_mode=True)
+        second = [a for bc in cache.blocks for a in bc]
+        assert len(first) == len(second) == 2 * 3
+        assert all(np.shares_memory(a, b) == shared for a, b in zip(first, second))
+
     @pytest.mark.parametrize("q", [1, 2, 3])
     def test_batch_backward_matches_single_images(self, q):
         cfg = reduced(q)
